@@ -12,8 +12,7 @@
 
 #include "bench_util.hpp"
 #include "decode/cluster_decoder.hpp"
-#include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
+#include "decode/memory_experiment.hpp"
 #include "sim/parallel.hpp"
 
 namespace {
@@ -21,45 +20,6 @@ namespace {
 using namespace quest;
 using decode::ClusterDecoder;
 using decode::MwpmDecoder;
-
-struct Experiment
-{
-    explicit Experiment(std::size_t d)
-        : lattice(qecc::Lattice::forDistance(d)),
-          schedule(qecc::buildRoundSchedule(
-              lattice, qecc::protocolSpec(qecc::Protocol::Steane))),
-          extractor(schedule)
-    {}
-
-    /** One memory-experiment sample; returns detection events. */
-    decode::DetectionEvents
-    sample(double p, sim::Rng &rng, quantum::PauliFrame &frame) const
-    {
-        quantum::ErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-        auto history = extractor.runRounds(frame, &channel,
-                                           lattice.rows() / 2 + 1);
-        history.push_back(extractor.runRound(frame, nullptr));
-        return decode::extractDetectionEvents(history, extractor);
-    }
-
-    bool
-    logicalError(quantum::PauliFrame &frame) const
-    {
-        if (extractor.runRound(frame, nullptr).any())
-            return true;
-        std::size_t x = 0, z = 0;
-        for (const qecc::Coord c : lattice.logicalZSupport())
-            x += frame.xError(lattice.index(c)) ? 1 : 0;
-        for (const qecc::Coord c : lattice.logicalXSupport())
-            z += frame.zError(lattice.index(c)) ? 1 : 0;
-        return (x % 2) || (z % 2);
-    }
-
-    qecc::Lattice lattice;
-    qecc::RoundSchedule schedule;
-    qecc::SyndromeExtractor extractor;
-};
 
 void
 printFigure()
@@ -72,16 +32,16 @@ printFigure()
                    "UF cluster", "mean cluster size" });
 
     for (std::size_t d : { 3u, 5u, 7u }) {
-        const Experiment exp(d);
-        MwpmDecoder exact(exp.lattice, 14);
-        MwpmDecoder greedy(exp.lattice, 0);
-        ClusterDecoder cluster(exp.lattice);
+        decode::MemoryExperiment exp(qecc::Protocol::Steane, d);
+        MwpmDecoder exact(exp.lattice(), 14);
+        MwpmDecoder greedy(exp.lattice(), 0);
+        ClusterDecoder cluster(exp.lattice());
+        decode::MemoryRun run;
+        run.errorRate = p;
+        run.seed = 99;
 
-        // Trials run 64 to a BatchPauliFrame word: lane t of batch
-        // b is trial b*64 + t, whose BatchErrorChannel lane stream
-        // is exactly Rng::substream(99, b*64 + t) — the stream the
-        // scalar sweep gave that trial — so the sampled windows
-        // (and this table) are bit-identical to the scalar engine
+        // Each decoder corrects its own copy of a sampled batch;
+        // the engine's lane contract keeps the table bit-identical
         // for any thread count.
         struct TrialOutcome
         {
@@ -96,49 +56,38 @@ printFigure()
         const auto batches =
             sim::parallelMap<std::vector<TrialOutcome>>(
                 num_batches, [&](std::uint64_t b) {
-                    quantum::BatchPauliFrame bframe(
-                        exp.lattice.numQubits());
-                    quantum::BatchErrorChannel channel(
-                        quantum::ErrorRates{ p, 0, 0, 0, p }, 99,
-                        b * lanes);
-                    auto history = exp.extractor.runRoundsBatch(
-                        bframe, &channel,
-                        exp.lattice.rows() / 2 + 1);
-                    history.push_back(
-                        exp.extractor.runRoundBatch(bframe,
-                                                    nullptr));
-                    const auto lane_events =
-                        decode::extractDetectionEventsBatch(
-                            history, exp.extractor);
-
+                    decode::MemoryBatch batch;
+                    exp.sample(run, b * lanes, batch);
+                    quantum::BatchPauliFrame fe = batch.frame,
+                                             fg = batch.frame,
+                                             fc = batch.frame;
                     const std::uint64_t count =
                         std::min<std::uint64_t>(
                             lanes,
                             std::uint64_t(trials) - b * lanes);
                     std::vector<TrialOutcome> out(count);
                     for (std::uint64_t t = 0; t < count; ++t) {
-                        const auto &events = lane_events[t];
-                        const quantum::PauliFrame frame =
-                            bframe.extractLane(t);
-                        quantum::PauliFrame fe = frame, fg = frame,
-                                            fc = frame;
+                        const auto &events = batch.events[t];
                         decode::applyCorrection(
-                            fe, exact.decode(events));
+                            fe, t, exact.decode(events));
                         decode::applyCorrection(
-                            fg, greedy.decode(events));
+                            fg, t, greedy.decode(events));
                         decode::ClusterStats stats;
                         decode::applyCorrection(
-                            fc, cluster.decode(events, stats));
-                        TrialOutcome &o = out[t];
-                        o.failExact = exp.logicalError(fe) ? 1 : 0;
-                        o.failGreedy = exp.logicalError(fg) ? 1 : 0;
-                        o.failCluster =
-                            exp.logicalError(fc) ? 1 : 0;
+                            fc, t, cluster.decode(events, stats));
                         if (stats.clusters) {
-                            o.hasClusters = 1;
-                            o.clusterRatio = double(events.total())
+                            out[t].hasClusters = 1;
+                            out[t].clusterRatio = double(events.total())
                                 / double(stats.clusters);
                         }
+                    }
+                    const std::uint64_t me = exp.failureMask(fe),
+                                        mg = exp.failureMask(fg),
+                                        mc = exp.failureMask(fc);
+                    for (std::uint64_t t = 0; t < count; ++t) {
+                        out[t].failExact = (me >> t) & 1u;
+                        out[t].failGreedy = (mg >> t) & 1u;
+                        out[t].failCluster = (mc >> t) & 1u;
                     }
                     return out;
                 });
@@ -177,25 +126,25 @@ template <typename Decoder>
 void
 runDecoderBench(benchmark::State &state, std::size_t exact_limit)
 {
-    const Experiment exp(std::size_t(state.range(0)));
+    decode::MemoryExperiment exp(qecc::Protocol::Steane,
+                                 std::size_t(state.range(0)));
     Decoder decoder = [&] {
         if constexpr (std::is_same_v<Decoder, MwpmDecoder>)
-            return MwpmDecoder(exp.lattice, exact_limit);
+            return MwpmDecoder(exp.lattice(), exact_limit);
         else
-            return ClusterDecoder(exp.lattice);
+            return ClusterDecoder(exp.lattice());
     }();
-    sim::Rng rng(7);
 
-    // Pre-generate event batches so only decoding is timed.
-    std::vector<decode::DetectionEvents> batches;
-    for (int i = 0; i < 32; ++i) {
-        quantum::PauliFrame frame(exp.lattice.numQubits());
-        batches.push_back(exp.sample(3e-3, rng, frame));
-    }
+    // Pre-sample one batch of event sets so only decoding is timed.
+    decode::MemoryRun run;
+    run.errorRate = 3e-3;
+    run.seed = 7;
+    decode::MemoryBatch batch;
+    exp.sample(run, 0, batch);
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            decoder.decode(batches[i % batches.size()]));
+            decoder.decode(batch.events[i % batch.events.size()]));
         ++i;
     }
 }

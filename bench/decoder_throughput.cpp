@@ -10,10 +10,10 @@
  * perf trajectory of the hot path is tracked across PRs.
  *
  * Each trial is a d-round memory experiment sampled through the
- * bit-parallel batch engine (lane t of batch b carries trial
- * b*64 + t, whose lane stream is Rng::substream(seed, b*64 + t) —
- * the stream the scalar engine gave that trial, so the windows are
- * unchanged); the multi-thread run must reproduce the single-thread
+ * memory-experiment engine (decode::MemoryExperiment: lane t of
+ * batch b carries trial b*64 + t, drawing from
+ * Rng::substream(seed, b*64 + t)); the multi-thread run must
+ * reproduce the single-thread
  * per-trial correction weights bit-for-bit (verified here) — the
  * determinism contract of sim/parallel.hpp.
  *
@@ -48,7 +48,7 @@
 #include <vector>
 
 #include "decode/cluster_decoder.hpp"
-#include "qecc/extractor.hpp"
+#include "decode/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
@@ -61,55 +61,32 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t sampleSeed = 0xDEC0DE;
 
-struct Experiment
+/**
+ * Sample every trial's detection events up front through the
+ * memory-experiment engine: trial i is lane i % 64 of batch i / 64,
+ * drawing from Rng::substream(sampleSeed, i).
+ */
+std::vector<decode::DetectionEvents>
+sampleAll(const decode::MemoryExperiment &exp, double p,
+          std::uint64_t trials, sim::ThreadPool &pool)
 {
-    explicit Experiment(std::size_t d)
-        : lattice(qecc::Lattice::forDistance(d)),
-          schedule(qecc::buildRoundSchedule(
-              lattice, qecc::protocolSpec(qecc::Protocol::Steane))),
-          extractor(schedule)
-    {}
-
-    /**
-     * Sample every trial's detection events up front through the
-     * batched frame engine, 64 trials per word: trial i = lane
-     * i % 64 of batch i / 64, seeded so its draw stream equals the
-     * scalar engine's Rng::substream(sampleSeed, i).
-     */
-    std::vector<decode::DetectionEvents>
-    sampleAll(double p, std::uint64_t trials,
-              sim::ThreadPool &pool) const
-    {
-        constexpr std::size_t lanes =
-            quantum::BatchPauliFrame::lanes;
-        const std::uint64_t batches = (trials + lanes - 1) / lanes;
-        auto per_batch =
-            sim::parallelMap<std::vector<decode::DetectionEvents>>(
-                pool, batches, [&](std::uint64_t b) {
-                    quantum::BatchPauliFrame frame(
-                        lattice.numQubits());
-                    quantum::BatchErrorChannel channel(
-                        quantum::ErrorRates{p, 0, 0, 0, p},
-                        sampleSeed, b * lanes);
-                    auto history = extractor.runRoundsBatch(
-                        frame, &channel, lattice.rows() / 2 + 1);
-                    history.push_back(
-                        extractor.runRoundBatch(frame, nullptr));
-                    return decode::extractDetectionEventsBatch(
-                        history, extractor);
-                });
-        std::vector<decode::DetectionEvents> events;
-        events.reserve(trials);
-        for (std::uint64_t i = 0; i < trials; ++i)
-            events.push_back(
-                std::move(per_batch[i / lanes][i % lanes]));
-        return events;
-    }
-
-    qecc::Lattice lattice;
-    qecc::RoundSchedule schedule;
-    qecc::SyndromeExtractor extractor;
-};
+    constexpr std::size_t lanes = quantum::BatchPauliFrame::lanes;
+    decode::MemoryRun run;
+    run.errorRate = p;
+    run.seed = sampleSeed;
+    auto per_batch =
+        sim::parallelMap<std::vector<decode::DetectionEvents>>(
+            pool, (trials + lanes - 1) / lanes, [&](std::uint64_t b) {
+                decode::MemoryBatch batch;
+                exp.sample(run, b * lanes, batch);
+                return std::move(batch.events);
+            });
+    std::vector<decode::DetectionEvents> events;
+    events.reserve(trials);
+    for (std::uint64_t i = 0; i < trials; ++i)
+        events.push_back(std::move(per_batch[i / lanes][i % lanes]));
+    return events;
+}
 
 /** One timed run: per-trial latencies plus total wall time. */
 struct Timing
@@ -282,12 +259,12 @@ main(int argc, char **argv)
 
     std::vector<ConfigResult> results;
     for (const std::size_t d : distances) {
-        const Experiment exp(d);
-        const decode::MwpmDecoder exact(exp.lattice, 14);
-        const decode::MwpmDecoder greedy(exp.lattice, 0);
-        const decode::ClusterDecoder cluster(exp.lattice);
+        const decode::MemoryExperiment exp(qecc::Protocol::Steane, d);
+        const decode::MwpmDecoder exact(exp.lattice(), 14);
+        const decode::MwpmDecoder greedy(exp.lattice(), 0);
+        const decode::ClusterDecoder cluster(exp.lattice());
         const std::vector<decode::DetectionEvents> events =
-            exp.sampleAll(p, trials, pool);
+            sampleAll(exp, p, trials, pool);
 
         const auto run = [&](const std::string &name,
                              const auto &decode_one) {

@@ -14,8 +14,7 @@
 
 #include "bench_util.hpp"
 #include "core/system.hpp"
-#include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
+#include "decode/memory_experiment.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/parallel.hpp"
 
@@ -129,29 +128,24 @@ BENCHMARK(BM_FaultSweepPoint)->Arg(0)->Arg(1000)->Arg(100);
 /**
  * The Monte-Carlo side of the sweep's workload point (d=3 memory
  * windows at the sweep's physical rates), run through the
- * bit-parallel batch engine: 64 trials per frame word, detection
- * events extracted per lane. Items processed counts trials, so
+ * memory-experiment engine's batch sampler: 64 trials per frame
+ * word, detection events extracted per lane. Items processed counts trials, so
  * items/sec is directly comparable with a scalar-engine run.
  */
 void
 BM_BatchedMemoryWindow(benchmark::State &state)
 {
-    const auto d = std::size_t(state.range(0));
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
-    std::uint64_t batch = 0;
+    const decode::MemoryExperiment exp(qecc::Protocol::Steane,
+                                       std::size_t(state.range(0)));
+    decode::MemoryRun run;
+    run.errorRate = 1e-3;
+    run.seed = 9;
+    decode::MemoryBatch batch;
+    std::uint64_t first = 0;
     for (auto _ : state) {
-        quantum::BatchPauliFrame frame(lattice.numQubits());
-        quantum::BatchErrorChannel channel(
-            quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3}, 9,
-            batch * quantum::BatchPauliFrame::lanes);
-        auto history = extractor.runRoundsBatch(frame, &channel, d);
-        history.push_back(extractor.runRoundBatch(frame, nullptr));
-        benchmark::DoNotOptimize(
-            decode::extractDetectionEventsBatch(history, extractor));
-        ++batch;
+        exp.sample(run, first, batch);
+        benchmark::DoNotOptimize(batch.events.data());
+        first += quantum::BatchPauliFrame::lanes;
     }
     state.SetItemsProcessed(
         state.iterations()

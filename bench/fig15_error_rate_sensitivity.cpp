@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
+#include "decode/memory_experiment.hpp"
 #include "sim/parallel.hpp"
 #include "workloads/estimator.hpp"
 
@@ -77,31 +76,25 @@ BM_ErrorRateSweep(benchmark::State &state)
 BENCHMARK(BM_ErrorRateSweep);
 
 /**
- * Memory-experiment throughput at each sweep point's physical
- * error rate, through the bit-parallel batch engine (64 trials per
- * frame word at a fixed d=5 tile). This is the Monte-Carlo cost of
+ * Memory-experiment sampling throughput at each sweep point's
+ * physical error rate, through the memory-experiment engine's
+ * batch sampler (64 trials per frame word at a fixed d=5 tile). This is the Monte-Carlo cost of
  * validating one Figure-15 sweep point by direct simulation; the
  * range arg is the inverse error rate.
  */
 void
 BM_BatchedSweepPoint(benchmark::State &state)
 {
-    const double p = 1.0 / double(state.range(0));
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(5);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
-    std::uint64_t batch = 0;
+    const decode::MemoryExperiment exp(qecc::Protocol::Steane, 5);
+    decode::MemoryRun run;
+    run.errorRate = 1.0 / double(state.range(0));
+    run.seed = 15;
+    decode::MemoryBatch batch;
+    std::uint64_t first = 0;
     for (auto _ : state) {
-        quantum::BatchPauliFrame frame(lattice.numQubits());
-        quantum::BatchErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, 15,
-            batch * quantum::BatchPauliFrame::lanes);
-        auto history = extractor.runRoundsBatch(frame, &channel, 5);
-        history.push_back(extractor.runRoundBatch(frame, nullptr));
-        benchmark::DoNotOptimize(
-            decode::extractDetectionEventsBatch(history, extractor));
-        ++batch;
+        exp.sample(run, first, batch);
+        benchmark::DoNotOptimize(batch.events.data());
+        first += quantum::BatchPauliFrame::lanes;
     }
     state.SetItemsProcessed(
         state.iterations()

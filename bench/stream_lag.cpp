@@ -34,12 +34,9 @@
 #include <string>
 #include <vector>
 
-#include "decode/pipeline.hpp"
-#include "decode/streaming.hpp"
-#include "qecc/extractor.hpp"
+#include "decode/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
-#include "sim/random.hpp"
 #include "sim/table.hpp"
 
 namespace {
@@ -48,45 +45,6 @@ using namespace quest;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t sampleSeed = 0x57AE;
-
-struct Experiment
-{
-    explicit Experiment(std::size_t d)
-        : lattice(qecc::Lattice::forDistance(d)),
-          schedule(qecc::buildRoundSchedule(
-              lattice, qecc::protocolSpec(qecc::Protocol::Steane))),
-          extractor(schedule)
-    {}
-
-    std::vector<qecc::SyndromeRound>
-    sampleShot(quantum::PauliFrame &frame, double p,
-               std::uint64_t trial, std::size_t rounds) const
-    {
-        sim::Rng rng(sim::Rng::substream(sampleSeed, trial));
-        quantum::ErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-        auto history = extractor.runRounds(frame, &channel, rounds);
-        history.push_back(extractor.runRound(frame, nullptr));
-        return history;
-    }
-
-    bool
-    logicalFailure(quantum::PauliFrame &frame) const
-    {
-        if (extractor.runRound(frame, nullptr).any())
-            return true;
-        std::size_t x = 0, z = 0;
-        for (const qecc::Coord c : lattice.logicalZSupport())
-            x += frame.xError(lattice.index(c)) ? 1 : 0;
-        for (const qecc::Coord c : lattice.logicalXSupport())
-            z += frame.zError(lattice.index(c)) ? 1 : 0;
-        return (x % 2) || (z % 2);
-    }
-
-    qecc::Lattice lattice;
-    qecc::RoundSchedule schedule;
-    qecc::SyndromeExtractor extractor;
-};
 
 struct ConfigResult
 {
@@ -238,34 +196,30 @@ main(int argc, char **argv)
 
     int gate_failures = 0;
     std::vector<ConfigResult> results;
+    // Shots run single-threaded through the memory-experiment
+    // engine, so windows/s is the rate of one decode stream.
+    sim::ThreadPool serial(1);
     for (const std::size_t d : distances) {
-        const Experiment exp(d);
-        const std::size_t shot_rounds = 2 * d;
+        decode::MemoryExperiment exp(qecc::Protocol::Steane, d);
+        decode::MemoryRun run;
+        run.errorRate = p;
+        run.seed = sampleSeed;
+        run.rounds = 2 * d;
 
         // Offline baseline: end-of-shot barrier.
         {
-            decode::DecoderPipeline pipeline(exp.lattice);
             ConfigResult r;
             r.distance = d;
             r.shape = "offline";
             const auto t0 = Clock::now();
-            for (std::uint64_t t = 0; t < trials; ++t) {
-                quantum::PauliFrame frame(exp.lattice.numQubits());
-                const auto history =
-                    exp.sampleShot(frame, p, t, shot_rounds);
-                decode::applyCorrection(
-                    frame,
-                    pipeline.decode(decode::extractDetectionEvents(
-                        history, exp.extractor)));
-                r.failures += exp.logicalFailure(frame) ? 1 : 0;
-            }
+            r.failures = exp.run(run, 0, trials, serial).failures;
             const double wall = std::chrono::duration<double>(
                 Clock::now() - t0).count();
             r.windows = trials;
             r.windowsPerSec =
                 wall > 0.0 ? double(trials) / wall : 0.0;
-            r.lagP50 = double(shot_rounds + 1);
-            r.lagP99 = double(shot_rounds + 1);
+            r.lagP50 = double(run.rounds + 1);
+            r.lagP99 = double(run.rounds + 1);
             results.push_back(r);
         }
 
@@ -278,41 +232,26 @@ main(int argc, char **argv)
             r.stride = stride;
             r.shape = std::to_string(window) + "x"
                 + std::to_string(stride);
+            decode::MemoryRun streamed = run;
+            streamed.stream = decode::StreamConfig{};
+            streamed.stream->windowRounds = window;
+            streamed.stream->strideRounds = stride;
             lag_hist.reset();
-            std::uint64_t windows = 0;
             const auto t0 = Clock::now();
-            for (std::uint64_t t = 0; t < trials; ++t) {
-                quantum::PauliFrame frame(exp.lattice.numQubits());
-                const auto history =
-                    exp.sampleShot(frame, p, t, shot_rounds);
-                decode::StreamConfig cfg;
-                cfg.windowRounds = window;
-                cfg.strideRounds = stride;
-                decode::StreamingDecoder streamer(exp.extractor,
-                                                  cfg);
-                decode::Correction total;
-                for (const auto &round : history)
-                    if (auto c = streamer.pushRound(round))
-                        total.merge(c->correction);
-                if (auto c = streamer.finish())
-                    total.merge(c->correction);
-                windows += streamer.windowsDecoded();
-                decode::applyCorrection(frame, total);
-                if (check
-                    && exp.extractor.runRound(frame, nullptr)
-                           .any()) {
-                    std::cout << "check: d=" << d << " " << r.shape
-                              << " trial " << t
-                              << " left residual syndrome\n";
-                    ++gate_failures;
-                }
-                r.failures += exp.logicalFailure(frame) ? 1 : 0;
-            }
+            const decode::MemoryTally tally =
+                exp.run(streamed, 0, trials, serial);
             const double wall = std::chrono::duration<double>(
                 Clock::now() - t0).count();
-            r.windows = windows;
+            if (check && tally.dirty != 0) {
+                std::cout << "check: d=" << d << " " << r.shape << " "
+                          << tally.dirty
+                          << " trial(s) left residual syndrome\n";
+                ++gate_failures;
+            }
+            r.failures = tally.failures;
+            r.windows = tally.windows;
             r.windowsPerSec =
-                wall > 0.0 ? double(windows) / wall : 0.0;
+                wall > 0.0 ? double(r.windows) / wall : 0.0;
             r.lagP50 = lag_hist.percentile(0.5);
             r.lagP99 = lag_hist.percentile(0.99);
             results.push_back(r);
@@ -321,21 +260,22 @@ main(int argc, char **argv)
         // Gate: a single window spanning the whole shot reproduces
         // the offline pipeline bit for bit.
         if (check) {
-            decode::DecoderPipeline pipeline(exp.lattice);
+            decode::DecoderPipeline pipeline(exp.lattice());
+            decode::StreamConfig cfg;
+            cfg.windowRounds = run.rounds + 2;
+            cfg.strideRounds = 1;
+            decode::MemoryBatch batch;
             for (std::uint64_t t = 0; t < trials; ++t) {
-                quantum::PauliFrame frame(exp.lattice.numQubits());
-                const auto history =
-                    exp.sampleShot(frame, p, t, shot_rounds);
-                const decode::Correction offline = pipeline.decode(
-                    decode::extractDetectionEvents(history,
-                                                   exp.extractor));
-                decode::StreamConfig cfg;
-                cfg.windowRounds = history.size() + 1;
-                cfg.strideRounds = 1;
-                decode::StreamingDecoder streamer(exp.extractor,
+                const std::size_t lane =
+                    t % quantum::BatchPauliFrame::lanes;
+                if (lane == 0)
+                    exp.sample(run, t, batch);
+                const decode::Correction offline =
+                    pipeline.decode(batch.events[lane]);
+                decode::StreamingDecoder streamer(exp.extractor(),
                                                   cfg);
-                for (const auto &round : history)
-                    streamer.pushRound(round);
+                for (const auto &round : batch.history)
+                    streamer.pushRound(round.lane(lane));
                 decode::Correction streamed;
                 if (auto c = streamer.finish())
                     streamed = c->correction;

@@ -2,73 +2,36 @@
  * @file
  * Error-correction lab: Monte-Carlo study of the QECC substrate.
  *
- * Exercises the quantum layers of the library directly -- the
- * surface-code lattice, the syndrome-extraction schedules, the
- * Pauli-frame simulator and the two-level decoder -- to measure the
+ * Runs the library's memory experiment (decode::MemoryExperiment:
+ * surface-code lattice, syndrome-extraction schedule, batched
+ * Pauli-frame noise and the two-level decoder) to measure the
  * logical error rate of distance-3/5/7 codes as a function of the
  * physical error rate, and reports how much of the decoding the
  * per-MCE lookup table handles without bothering the global MWPM
- * decoder. This is the experiment behind the paper's premise that a
+ * decoder (read from the decoder's metrics-registry counters). This is the experiment behind the paper's premise that a
  * short, fixed QECC program plus a small local decoder suffices for
  * the common case.
  *
  * Run: ./build/examples/error_correction_lab [trials]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
-#include "decode/pipeline.hpp"
-#include "qecc/distance.hpp"
-#include "qecc/extractor.hpp"
+#include "decode/memory_experiment.hpp"
+#include "sim/metrics.hpp"
 #include "sim/table.hpp"
 
 namespace {
 
-using namespace quest;
-
-struct TrialResult
+/** Current value of a decoder registry counter. */
+double
+counter(const char *name)
 {
-    bool logicalError = false;
-};
-
-/**
- * One memory experiment: d rounds of noisy extraction, decode,
- * then check the residual for a logical X/Z operator crossing.
- */
-TrialResult
-runTrial(const qecc::Lattice &lattice,
-         const qecc::SyndromeExtractor &extractor,
-         decode::DecoderPipeline &pipeline, double p, sim::Rng &rng)
-{
-    quantum::PauliFrame frame(lattice.numQubits());
-    quantum::ErrorChannel channel(
-        quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-
-    auto history = extractor.runRounds(
-        frame, &channel, lattice.rows() / 2 + 1);
-    // Close the decode window with one perfect round so last-round
-    // measurement flips pair up in time instead of being mistaken
-    // for data errors (the standard memory-experiment protocol).
-    history.push_back(extractor.runRound(frame, nullptr));
-    const auto events =
-        decode::extractDetectionEvents(history, extractor);
-    decode::applyCorrection(frame, pipeline.decode(events));
-
-    // A final noiseless round projects back to the code space.
-    const auto check = extractor.runRound(frame, nullptr);
-    if (check.any()) {
-        // Residual syndrome: count as failure (decoder missed).
-        return TrialResult{true};
-    }
-
-    std::size_t x_cross = 0, z_cross = 0;
-    for (const qecc::Coord c : lattice.logicalZSupport())
-        x_cross += frame.xError(lattice.index(c)) ? 1 : 0;
-    for (const qecc::Coord c : lattice.logicalXSupport())
-        z_cross += frame.zError(lattice.index(c)) ? 1 : 0;
-    return TrialResult{(x_cross % 2) != 0 || (z_cross % 2) != 0};
+    return double(
+        quest::sim::metrics::Registry::global().counter(name, "").value());
 }
 
 } // namespace
@@ -79,7 +42,6 @@ main(int argc, char **argv)
     using namespace quest;
 
     const int trials = argc > 1 ? std::atoi(argv[1]) : 2000;
-    sim::Rng rng(2027);
 
     sim::Table table("Logical error rate vs physical error rate "
                      "(Steane-style extraction, two-level decode)");
@@ -92,25 +54,27 @@ main(int argc, char **argv)
         std::vector<std::string> row{ sim::formatCount(p) };
         std::string lut_coverage;
         for (std::size_t d : { 3u, 5u, 7u }) {
-            const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-            const auto schedule = qecc::buildRoundSchedule(
-                lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-            const qecc::SyndromeExtractor extractor(schedule);
-            decode::DecoderPipeline pipeline(lattice);
-
-            int failures = 0;
-            for (int t = 0; t < trials; ++t)
-                if (runTrial(lattice, extractor, pipeline, p, rng)
-                        .logicalError)
-                    ++failures;
+            decode::MemoryExperiment exp(qecc::Protocol::Steane, d);
+            decode::MemoryRun run;
+            run.errorRate = p;
+            run.seed = 2027;
+            const double local0 = counter("decode.pipeline.events_local");
+            const double global0 =
+                counter("decode.pipeline.events_global");
+            const decode::MemoryTally tally =
+                exp.run(run, 0, std::uint64_t(std::max(trials, 1)));
             char cell[32];
             std::snprintf(cell, sizeof(cell), "%.2e",
-                          double(failures) / double(trials));
+                          double(tally.failures) / double(tally.trials));
             row.push_back(cell);
             if (d == 5) {
+                const double local =
+                    counter("decode.pipeline.events_local") - local0;
+                const double global =
+                    counter("decode.pipeline.events_global") - global0;
                 char cov[32];
                 std::snprintf(cov, sizeof(cov), "%.0f%%",
-                              pipeline.localCoverage() * 100.0);
+                              100.0 * local / std::max(1.0, local + global));
                 lut_coverage = cov;
             }
         }

@@ -184,4 +184,15 @@ applyCorrection(quantum::PauliFrame &frame, const Correction &corr)
         frame.injectZ(q);
 }
 
+void
+applyCorrection(quantum::BatchPauliFrame &frame, std::size_t lane,
+                const Correction &corr)
+{
+    const std::uint64_t bit = std::uint64_t(1) << lane;
+    for (std::size_t q : corr.xFlips)
+        frame.injectX(q, bit);
+    for (std::size_t q : corr.zFlips)
+        frame.injectZ(q, bit);
+}
+
 } // namespace quest::decode

@@ -122,6 +122,10 @@ struct Correction
 /** Apply a correction to a Pauli frame. */
 void applyCorrection(quantum::PauliFrame &frame, const Correction &corr);
 
+/** Apply a correction to one lane of a batched frame. */
+void applyCorrection(quantum::BatchPauliFrame &frame, std::size_t lane,
+                     const Correction &corr);
+
 } // namespace quest::decode
 
 #endif // QUEST_DECODE_DETECTION_HPP

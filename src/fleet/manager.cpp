@@ -471,11 +471,16 @@ Manager::localFallback()
 void
 Manager::finishJob()
 {
+    // Every connection but the client is told to stop, including
+    // workers still in the accept queue or whose hello is unread: a
+    // worker that connects as the last task lands would otherwise
+    // wait for work that never comes.
+    acceptPending();
     Json bye = Json::object();
     bye.set("type", Json("shutdown"));
     for (std::size_t i = 0; i < _conns.size(); ++i) {
         Conn &conn = _conns[i];
-        if (!conn.dead && conn.role == Conn::Role::Worker)
+        if (!conn.dead && conn.role != Conn::Role::Client)
             sendFrame(conn.sock, bye);
     }
 }

@@ -1,17 +1,10 @@
 #include "sweep.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 
-#include "decode/detection.hpp"
-#include "decode/pipeline.hpp"
-#include "qecc/extractor.hpp"
-#include "qecc/lattice.hpp"
-#include "qecc/schedule.hpp"
-#include "quantum/error_model.hpp"
-#include "quantum/pauli_frame.hpp"
+#include "decode/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
 
@@ -46,17 +39,6 @@ protocolFromName(const std::string &name, qecc::Protocol &out)
         }
     }
     return false;
-}
-
-constexpr std::uint64_t fnvOffset = 0xCBF29CE484222325ull;
-constexpr std::uint64_t fnvPrime = 0x100000001B3ull;
-
-/** Order-dependent FNV fold step (trial order, then task order). */
-std::uint64_t
-fnvFold(std::uint64_t acc, std::uint64_t value)
-{
-    acc ^= value;
-    return acc * fnvPrime;
 }
 
 } // namespace
@@ -257,22 +239,6 @@ TaskResult::fromJson(const Json &j, TaskResult &out)
     return out.failures <= out.trials;
 }
 
-/** Cached per-point machinery: lattice, schedule, decoder. */
-struct TaskRunner::Experiment
-{
-    qecc::Lattice lattice;
-    qecc::RoundSchedule schedule;
-    qecc::SyndromeExtractor extractor;
-    decode::DecoderPipeline pipeline;
-
-    Experiment(qecc::Protocol protocol, std::size_t distance)
-        : lattice(qecc::Lattice::forDistance(distance)),
-          schedule(qecc::buildRoundSchedule(
-              lattice, qecc::protocolSpec(protocol))),
-          extractor(schedule), pipeline(lattice)
-    {}
-};
-
 TaskRunner::TaskRunner() = default;
 TaskRunner::~TaskRunner() = default;
 
@@ -281,55 +247,25 @@ TaskRunner::run(const TaskSpec &task)
 {
     const auto key = std::make_pair(std::size_t(task.point.protocol),
                                     task.point.distance);
-    auto it = _cache.find(key);
-    if (it == _cache.end())
-        it = _cache
-                 .emplace(key, std::make_unique<Experiment>(
-                                   task.point.protocol,
-                                   task.point.distance))
-                 .first;
-    Experiment &exp = *it->second;
+    std::unique_ptr<decode::MemoryExperiment> &exp = _cache[key];
+    if (!exp)
+        exp = std::make_unique<decode::MemoryExperiment>(
+            task.point.protocol, task.point.distance);
+
+    decode::MemoryRun run;
+    run.errorRate = task.point.errorRate;
+    run.seed = task.point.pointSeed;
+    const decode::MemoryTally tally =
+        exp->run(run, task.trialBegin, task.trialEnd);
 
     TaskResult res;
     res.taskId = task.id;
     res.pointIndex = task.point.index;
-    res.trials = task.trials();
-    res.witness = fnvOffset;
-
-    const double p = task.point.errorRate;
-    const std::size_t d = task.point.distance;
-    for (std::uint64_t t = task.trialBegin; t < task.trialEnd; ++t) {
-        // The whole trial draws from one substream keyed by the
-        // absolute trial index — identical on every executor.
-        sim::Rng rng =
-            sim::Rng::substream(task.point.pointSeed, t);
-        quantum::PauliFrame frame(exp.lattice.numQubits());
-        quantum::ErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-        auto history = exp.extractor.runRounds(frame, &channel, d);
-        history.push_back(exp.extractor.runRound(frame, nullptr));
-        const auto events =
-            decode::extractDetectionEvents(history, exp.extractor);
-        const decode::Correction corr = exp.pipeline.decode(events);
-        decode::applyCorrection(frame, corr);
-
-        bool failed = exp.extractor.runRound(frame, nullptr).any();
-        if (!failed) {
-            std::size_t x = 0, z = 0;
-            for (const qecc::Coord c : exp.lattice.logicalZSupport())
-                x += frame.xError(exp.lattice.index(c)) ? 1 : 0;
-            for (const qecc::Coord c : exp.lattice.logicalXSupport())
-                z += frame.zError(exp.lattice.index(c)) ? 1 : 0;
-            failed = (x % 2) || (z % 2);
-        }
-
-        const std::uint64_t w = corr.weight();
-        res.failures += failed ? 1 : 0;
-        res.weightSum += w;
-        res.logWeight += std::log1p(double(w));
-        res.witness = fnvFold(res.witness,
-                              (w << 1) | (failed ? 1u : 0u));
-    }
+    res.trials = tally.trials;
+    res.failures = tally.failures;
+    res.weightSum = tally.weightSum;
+    res.logWeight = tally.logWeight;
+    res.witness = tally.witness;
     return res;
 }
 
@@ -391,7 +327,7 @@ SweepMerger::table() const
         // order, exactly as a single-box loop would have.
         std::uint64_t trials = 0, failures = 0, weight = 0;
         double logw = 0.0;
-        std::uint64_t witness = fnvOffset;
+        std::uint64_t witness = decode::witnessOffset;
         const std::uint64_t base = std::uint64_t(pt.index) * per;
         for (std::uint64_t k = 0; k < per; ++k) {
             const TaskResult &r = *_slots[base + k];
@@ -399,7 +335,7 @@ SweepMerger::table() const
             failures += r.failures;
             weight += r.weightSum;
             logw += r.logWeight;
-            witness = fnvFold(witness, r.witness);
+            witness = decode::witnessFold(witness, r.witness);
         }
 
         std::vector<std::string> row;

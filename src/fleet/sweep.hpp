@@ -38,6 +38,10 @@
 #include "qecc/protocol.hpp"
 #include "sim/table.hpp"
 
+namespace quest::decode {
+class MemoryExperiment;
+} // namespace quest::decode
+
 namespace quest::fleet {
 
 /** One sweep job: the grid, the budget and the replay seed. */
@@ -127,8 +131,9 @@ struct TaskResult
 
 /**
  * Deterministic task executor, shared by `quest worker`, the
- * manager's local fallback and the tests. Caches per-point
- * experiment state (lattice, schedule, decoder) across tasks.
+ * manager's local fallback and the tests: a task is one
+ * decode::MemoryExperiment run, and the per-point experiment (lattice,
+ * schedule, decoders) is cached across tasks.
  */
 class TaskRunner
 {
@@ -140,9 +145,8 @@ class TaskRunner
     TaskResult run(const TaskSpec &task);
 
   private:
-    struct Experiment;
     std::map<std::pair<std::size_t, std::size_t>,
-             std::unique_ptr<Experiment>>
+             std::unique_ptr<decode::MemoryExperiment>>
         _cache; ///< keyed by (protocol, distance)
 };
 

@@ -290,4 +290,20 @@ StatGroup::resetAll()
         child->resetAll();
 }
 
+Interval
+wilsonInterval(std::uint64_t hits, std::uint64_t trials, double z)
+{
+    if (trials == 0)
+        return Interval{0.0, 1.0};
+    const double n = double(trials);
+    const double p = double(hits) / n;
+    const double z2 = z * z;
+    const double denom = 1.0 + z2 / n;
+    const double centre = p + z2 / (2.0 * n);
+    const double radius =
+        z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
+    return Interval{std::max(0.0, (centre - radius) / denom),
+                    std::min(1.0, (centre + radius) / denom)};
+}
+
 } // namespace quest::sim

@@ -219,6 +219,22 @@ class StatGroup
     std::vector<StatGroup *> _children;
 };
 
+/** A two-sided confidence interval on a proportion. */
+struct Interval
+{
+    double lo = 0.0;
+    double hi = 0.0;
+};
+
+/**
+ * Wilson score interval for `hits` out of `trials` Bernoulli trials
+ * (z = 1.96 gives 95%); stays inside [0, 1] and is well-behaved at
+ * zero hits, unlike the normal approximation. Zero trials give
+ * [0, 1].
+ */
+Interval wilsonInterval(std::uint64_t hits, std::uint64_t trials,
+                        double z = 1.96);
+
 } // namespace quest::sim
 
 #endif // QUEST_SIM_STATS_HPP

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "logging.hpp"
 
 namespace quest::sim {
@@ -44,6 +48,17 @@ ThreadPool::defaultThreads()
             return std::size_t(n);
         warn("ignoring invalid QUEST_THREADS=%s", env);
     }
+#if defined(__linux__)
+    // The CPUs this process may run on, not the machine's: a process
+    // pinned to one CPU gains nothing from extra workers.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+        const int n = CPU_COUNT(&mask);
+        if (n >= 1)
+            return std::size_t(n);
+    }
+#endif
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }
@@ -64,10 +79,10 @@ ThreadPool::forRange(std::uint64_t n, std::uint64_t chunk,
     if (chunk == 0)
         chunk = 1;
 
-    // No workers, or already inside a pool job: run inline. The
-    // chunk partition is preserved so chunk-aligned callers (e.g.
-    // parallelReduce partials) see identical ranges.
-    if (_workers.empty() || t_inJob) {
+    // No workers, a single chunk, or already inside a pool job: run
+    // inline. The chunk partition is preserved so chunk-aligned
+    // callers (e.g. parallelReduce partials) see identical ranges.
+    if (_workers.empty() || t_inJob || n <= chunk) {
         for (std::uint64_t begin = 0; begin < n; begin += chunk)
             body(begin, std::min(begin + chunk, n));
         return;

@@ -77,7 +77,9 @@ class ThreadPool
 
     /**
      * Default degree of parallelism: the QUEST_THREADS environment
-     * variable when set (>= 1), otherwise the hardware concurrency.
+     * variable when set (>= 1), otherwise the number of CPUs in this
+     * process's affinity mask (the hardware concurrency when the mask
+     * cannot be read).
      */
     static std::size_t defaultThreads();
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -323,14 +324,18 @@ std::string
 fleetCsv(const SweepSpec &spec, const FleetConfig &cfg,
          const std::vector<WorkerConfig> &workerCfgs)
 {
-    Manager manager(cfg);
+    auto manager = std::make_unique<Manager>(cfg);
     std::vector<std::thread> threads;
     threads.reserve(workerCfgs.size());
     for (WorkerConfig wc : workerCfgs) {
-        wc.port = manager.port();
+        wc.port = manager->port();
         threads.emplace_back([wc] { runWorker(wc); });
     }
-    const sim::Table table = manager.runSweep(spec);
+    const sim::Table table = manager->runSweep(spec);
+    // Close the manager's sockets before joining: a worker that only
+    // connected after the sweep finished sees the disconnect instead
+    // of waiting for work forever.
+    manager.reset();
     for (std::thread &t : threads)
         t.join();
     return tableCsv(table);
@@ -421,10 +426,10 @@ TEST(FleetManager, ServesSubmittedJobsOverTheSamePort)
 {
     FleetConfig cfg = testConfig();
     cfg.submitTimeoutMs = 10000;
-    Manager manager(cfg);
+    auto manager = std::make_unique<Manager>(cfg);
 
     WorkerConfig wc;
-    wc.port = manager.port();
+    wc.port = manager->port();
     wc.heartbeatMs = 50;
     std::thread worker([wc] { runWorker(wc); });
 
@@ -432,7 +437,7 @@ TEST(FleetManager, ServesSubmittedJobsOverTheSamePort)
     std::string received;
     std::thread client([&] {
         Socket sock =
-            connectTcp("127.0.0.1", manager.port(), 2000);
+            connectTcp("127.0.0.1", manager->port(), 2000);
         ASSERT_TRUE(sock.valid());
         Json msg = Json::object();
         msg.set("type", Json("submit"));
@@ -444,8 +449,9 @@ TEST(FleetManager, ServesSubmittedJobsOverTheSamePort)
         received = reply.getString("csv", "");
     });
 
-    EXPECT_TRUE(manager.serveOnce());
+    EXPECT_TRUE(manager->serveOnce());
     client.join();
+    manager.reset(); // as in fleetCsv: close sockets, then join
     worker.join();
     EXPECT_EQ(received, tableCsv(runSweepLocal(spec)));
 }

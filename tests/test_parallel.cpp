@@ -3,9 +3,14 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include <sched.h>
 
 #include "sim/logging.hpp"
 #include "sim/parallel.hpp"
@@ -183,4 +188,47 @@ TEST(ParallelEngine, GlobalPoolAndDefaultThreads)
         calls.fetch_add(1);
     });
     EXPECT_EQ(calls.load(), 10);
+}
+
+TEST(ParallelEngine, DefaultThreadsFollowsAffinityMask)
+{
+    // QUEST_THREADS overrides the mask; clear it for the probe.
+    const char *env = std::getenv("QUEST_THREADS");
+    const std::string saved = env ? env : "";
+    unsetenv("QUEST_THREADS");
+
+    cpu_set_t original;
+    CPU_ZERO(&original);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &original))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const std::size_t pinned = ThreadPool::defaultThreads();
+    setenv("QUEST_THREADS", "3", 1);
+    const std::size_t forced = ThreadPool::defaultThreads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+    if (env)
+        setenv("QUEST_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("QUEST_THREADS");
+
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(forced, 3u);
+}
+
+TEST(ParallelEngine, SingleChunkRunsOnCallingThread)
+{
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id ran;
+    pool.forRange(5, 8, [&](std::uint64_t begin, std::uint64_t end) {
+        EXPECT_EQ(begin, 0u);
+        EXPECT_EQ(end, 5u);
+        ran = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran, caller);
 }

@@ -223,4 +223,20 @@ TEST(Stats, VisitValuesCoversScalarsVectorsAndChildren)
     EXPECT_DOUBLE_EQ(seen.at("g.c.cs"), 7.0);
 }
 
+TEST(Stats, WilsonIntervalBracketsTheRate)
+{
+    // 10 / 100 at z = 1.96: the textbook interval [0.0552, 0.1744].
+    const Interval ci = wilsonInterval(10, 100);
+    EXPECT_NEAR(ci.lo, 0.0552, 1e-4);
+    EXPECT_NEAR(ci.hi, 0.1744, 1e-4);
+    // Zero hits keep a nonzero upper end; all hits reach 1.
+    const Interval none = wilsonInterval(0, 50);
+    EXPECT_EQ(none.lo, 0.0);
+    EXPECT_GT(none.hi, 0.0);
+    EXPECT_DOUBLE_EQ(wilsonInterval(50, 50).hi, 1.0);
+    const Interval empty = wilsonInterval(0, 0);
+    EXPECT_EQ(empty.lo, 0.0);
+    EXPECT_EQ(empty.hi, 1.0);
+}
+
 } // namespace

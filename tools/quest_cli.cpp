@@ -25,6 +25,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,13 +40,13 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "decode/pipeline.hpp"
-#include "decode/streaming.hpp"
+#include "decode/memory_experiment.hpp"
 #include "fleet/manager.hpp"
 #include "fleet/worker.hpp"
 #include "isa/trace.hpp"
 #include "qecc/extractor.hpp"
 #include "sim/metrics.hpp"
+#include "sim/stats.hpp"
 #include "sim/table.hpp"
 #include "sim/trace.hpp"
 #include "verify/program.hpp"
@@ -57,7 +58,19 @@ namespace {
 
 using namespace quest;
 
-/** Tiny --flag=value / --flag value option parser. */
+/** Usage error on one flag: message naming it, exit status 2. */
+[[noreturn]] void
+flagError(const std::string &flag, const char *what)
+{
+    std::fprintf(stderr, "quest: --%s %s\n", flag.c_str(), what);
+    std::exit(2);
+}
+
+/**
+ * Tiny --flag=value / --flag value option parser. Numeric flags
+ * parse strictly: a value that is not entirely a number in range is
+ * a usage error naming the flag.
+ */
 class Options
 {
   public:
@@ -99,16 +112,28 @@ class Options
     getDouble(const std::string &key, double fallback) const
     {
         const auto it = _values.find(key);
-        return it == _values.end() ? fallback
-                                   : std::atof(it->second.c_str());
+        if (it == _values.end())
+            return fallback;
+        char *end = nullptr;
+        errno = 0;
+        const double v = std::strtod(it->second.c_str(), &end);
+        if (it->second.empty() || *end != '\0' || errno == ERANGE)
+            flagError(key, "expects a number");
+        return v;
     }
 
     long
     getInt(const std::string &key, long fallback) const
     {
         const auto it = _values.find(key);
-        return it == _values.end() ? fallback
-                                   : std::atol(it->second.c_str());
+        if (it == _values.end())
+            return fallback;
+        char *end = nullptr;
+        errno = 0;
+        const long v = std::strtol(it->second.c_str(), &end, 10);
+        if (it->second.empty() || *end != '\0' || errno == ERANGE)
+            flagError(key, "expects an integer");
+        return v;
     }
 
   private:
@@ -300,86 +325,78 @@ cmdReplay(const Options &opts)
 int
 cmdSimulate(const Options &opts)
 {
-    const auto d = std::size_t(opts.getInt("distance", 5));
+    const long d = opts.getInt("distance", 5);
+    if (d < 3 || d > 63 || d % 2 == 0)
+        flagError("distance", "must be odd and in [3, 63]");
     const double p = opts.getDouble("error-rate", 1e-3);
-    const int trials = int(opts.getInt("trials", 2000));
+    if (!(p >= 0.0 && p <= 1.0))
+        flagError("error-rate", "must be in [0, 1]");
+    const long trials = opts.getInt("trials", 2000);
+    if (trials < 1)
+        flagError("trials", "must be at least 1");
+    const long seed = opts.getInt("seed", 1);
+    if (seed < 0)
+        flagError("seed", "must be non-negative");
     // --stream-window N decodes each shot through the streaming
     // sliding-window decoder instead of the offline pipeline;
     // --stream-stride M sets the commit distance (default N/2).
-    const auto stream_window =
-        std::size_t(opts.getInt("stream-window", 0));
-    decode::StreamConfig stream_cfg;
-    if (stream_window) {
-        stream_cfg.windowRounds = stream_window;
-        stream_cfg.strideRounds =
-            std::size_t(opts.getInt("stream-stride", 0));
-        if (stream_cfg.strideRounds == 0)
-            stream_cfg.strideRounds =
-                std::max<std::size_t>(1, stream_window / 2);
+    const long window = opts.getInt("stream-window", 0);
+    const long stride = opts.getInt("stream-stride", 0);
+    if (window < 0)
+        flagError("stream-window", "must be non-negative");
+    if (stride < 0 || stride > window)
+        flagError("stream-stride",
+                  "must be non-negative and at most --stream-window");
+
+    decode::MemoryRun run;
+    run.errorRate = p;
+    run.seed = std::uint64_t(seed);
+    if (window) {
+        decode::StreamConfig cfg;
+        cfg.windowRounds = std::size_t(window);
+        cfg.strideRounds = stride
+            ? std::size_t(stride)
+            : std::max<std::size_t>(1, cfg.windowRounds / 2);
+        run.stream = cfg;
     }
+    decode::MemoryExperiment exp(
+        parseProtocol(opts.get("protocol", "Steane")), std::size_t(d));
+    const decode::MemoryTally tally =
+        exp.run(run, 0, std::uint64_t(trials));
 
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(
-                     parseProtocol(opts.get("protocol", "Steane"))));
-    const qecc::SyndromeExtractor extractor(schedule);
-    decode::DecoderPipeline pipeline(lattice);
-    sim::Rng rng(std::uint64_t(opts.getInt("seed", 1)));
-
-    int failures = 0;
-    for (int t = 0; t < trials; ++t) {
-        quantum::PauliFrame frame(lattice.numQubits());
-        quantum::ErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-        auto history = extractor.runRounds(frame, &channel, d);
-        history.push_back(extractor.runRound(frame, nullptr));
-        decode::Correction corr;
-        if (stream_window) {
-            // One streamer per shot: rounds are pushed as extracted
-            // and the committed corrections accumulate.
-            decode::StreamingDecoder streamer(extractor, stream_cfg);
-            for (const auto &round : history)
-                if (auto commit = streamer.pushRound(round))
-                    corr.merge(commit->correction);
-            if (auto commit = streamer.finish())
-                corr.merge(commit->correction);
-        } else {
-            const auto events =
-                decode::extractDetectionEvents(history, extractor);
-            corr = pipeline.decode(events);
-        }
-        decode::applyCorrection(frame, corr);
-
-        bool failed = extractor.runRound(frame, nullptr).any();
-        if (!failed) {
-            std::size_t x = 0, z = 0;
-            for (const qecc::Coord c : lattice.logicalZSupport())
-                x += frame.xError(lattice.index(c)) ? 1 : 0;
-            for (const qecc::Coord c : lattice.logicalXSupport())
-                z += frame.zError(lattice.index(c)) ? 1 : 0;
-            failed = (x % 2) || (z % 2);
-        }
-        failures += failed ? 1 : 0;
-    }
-    if (stream_window) {
-        const auto &lag =
-            sim::metrics::Registry::global().histogram(
-                "decode.stream.lag_rounds",
-                "rounds decoding ran behind extraction, per pushed "
-                "round");
+    auto &reg = sim::metrics::Registry::global();
+    const auto count = [&reg](const char *name) {
+        return double(reg.counter(name, "").value());
+    };
+    const double greedy = count("decode.mwpm.greedy_matchings");
+    const double matchings =
+        greedy + count("decode.mwpm.exact_matchings");
+    const sim::Interval ci =
+        sim::wilsonInterval(tally.failures, tally.trials);
+    char tail[96];
+    std::snprintf(tail, sizeof(tail),
+                  "ler_ci95=%.3e,%.3e mwpm_greedy_share=%.3f", ci.lo,
+                  ci.hi, matchings > 0 ? greedy / matchings : 0.0);
+    const double ler = double(tally.failures) / double(tally.trials);
+    if (run.stream) {
+        const auto &lag = reg.histogram(
+            "decode.stream.lag_rounds",
+            "rounds decoding ran behind extraction, per pushed "
+            "round");
         std::printf(
-            "d=%zu p=%g trials=%d window=%zu stride=%zu "
-            "logical_error_rate=%.3e lag_p50=%.0f lag_p99=%.0f\n",
-            d, p, trials, stream_cfg.windowRounds,
-            stream_cfg.strideRounds,
-            double(failures) / double(trials), lag.percentile(0.5),
-            lag.percentile(0.99));
+            "d=%ld p=%g trials=%ld window=%zu stride=%zu "
+            "logical_error_rate=%.3e lag_p50=%.0f lag_p99=%.0f %s\n",
+            d, p, trials, run.stream->windowRounds,
+            run.stream->strideRounds, ler, lag.percentile(0.5),
+            lag.percentile(0.99), tail);
         return 0;
     }
-    std::printf("d=%zu p=%g trials=%d logical_error_rate=%.3e "
-                "lut_coverage=%.1f%%\n",
-                d, p, trials, double(failures) / double(trials),
-                pipeline.localCoverage() * 100.0);
+    const double local = count("decode.pipeline.events_local");
+    const double events = local + count("decode.pipeline.events_global");
+    std::printf("d=%ld p=%g trials=%ld logical_error_rate=%.3e "
+                "lut_coverage=%.1f%% %s\n",
+                d, p, trials, ler,
+                events > 0 ? local / events * 100.0 : 0.0, tail);
     return 0;
 }
 
