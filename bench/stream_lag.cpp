@@ -10,6 +10,9 @@
  * decodes the same shots through DecoderPipeline; its "lag" is the
  * whole shot by construction.
  *
+ * Per distance it also times StreamingDecoder construction, the
+ * set-up cost every streamed shot pays before its first round.
+ *
  * A merge micro-bench rides along: Correction::merge was rewritten
  * from O(n^2) find+erase to sort-and-cancel, and this bench tracks
  * ns/merge for both so the speedup stays visible across PRs.
@@ -153,6 +156,30 @@ benchMerge(std::uint64_t reps, std::size_t flips)
     return mb;
 }
 
+/** Mean wall time of one StreamingDecoder construction, in us. */
+double
+constructUs(const qecc::SyndromeExtractor &extractor,
+            const decode::StreamConfig &cfg, std::uint64_t reps)
+{
+    std::size_t sink = 0;
+    const auto t0 = Clock::now();
+    for (std::uint64_t r = 0; r < reps; ++r) {
+        const decode::StreamingDecoder streamer(extractor, cfg);
+        sink += streamer.roundsPushed();
+    }
+    const double us = std::chrono::duration<double, std::micro>(
+        Clock::now() - t0).count();
+    if (sink != 0) // defeat dead-code elimination
+        std::cerr << "";
+    return us / double(reps);
+}
+
+struct ConstructBench
+{
+    std::size_t distance = 0;
+    double streamingDecoderUs = 0.0;
+};
+
 } // namespace
 
 int
@@ -196,6 +223,7 @@ main(int argc, char **argv)
 
     int gate_failures = 0;
     std::vector<ConfigResult> results;
+    std::vector<ConstructBench> constructs;
     // Shots run single-threaded through the memory-experiment
     // engine, so windows/s is the rate of one decode stream.
     sim::ThreadPool serial(1);
@@ -225,6 +253,14 @@ main(int argc, char **argv)
 
         const std::vector<std::pair<std::size_t, std::size_t>>
             shapes = { { d, d }, { 2 * d, d }, { 4 * d, 2 * d } };
+        {
+            decode::StreamConfig cfg;
+            cfg.windowRounds = 2 * d;
+            cfg.strideRounds = d;
+            constructs.push_back(ConstructBench{
+                d, constructUs(exp.extractor(), cfg,
+                               smoke ? 200 : 2000)});
+        }
         for (const auto &[window, stride] : shapes) {
             ConfigResult r;
             r.distance = d;
@@ -333,6 +369,9 @@ main(int argc, char **argv)
                         ? mb.oldNsPerOp / mb.newNsPerOp
                         : 0.0,
                     mb.parity ? "ok" : "DIVERGED");
+    for (const ConstructBench &cb : constructs)
+        std::printf("construct @d=%zu: StreamingDecoder %.2f us\n",
+                    cb.distance, cb.streamingDecoderUs);
 
     std::ofstream os(out_path);
     os << "{\n  \"bench\": \"stream_lag\",\n"
@@ -359,6 +398,13 @@ main(int argc, char **argv)
            << ", \"sort_cancel_ns\": " << mb.newNsPerOp
            << ", \"parity\": " << (mb.parity ? "true" : "false")
            << "}" << (i + 1 < merges.size() ? "," : "") << "\n";
+    }
+    os << "  ],\n  \"construct\": [\n";
+    for (std::size_t i = 0; i < constructs.size(); ++i) {
+        const ConstructBench &cb = constructs[i];
+        os << "  {\"distance\": " << cb.distance
+           << ", \"streaming_decoder_us\": " << cb.streamingDecoderUs
+           << "}" << (i + 1 < constructs.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"metrics\": ";
     sim::metricsWriteJson(os);

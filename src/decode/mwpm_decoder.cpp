@@ -18,12 +18,6 @@ namespace {
 
 constexpr std::uint64_t inf = std::numeric_limits<std::uint64_t>::max();
 
-/** Cap on the all-pairs cache: ~4000 ancillas / 64 MiB of table. */
-constexpr std::size_t maxCachedPairs = std::size_t(1) << 24;
-
-constexpr std::uint32_t noAncilla =
-    std::numeric_limits<std::uint32_t>::max();
-
 /**
  * Per-thread scratch arena for the matchers and decode(). Reused
  * across calls so the hot path performs no allocations once warm;
@@ -160,49 +154,6 @@ MwpmDecoder::MwpmDecoder(const qecc::Lattice &lattice,
     QUEST_ASSERT(exact_limit <= maxExactLimit,
                  "exact_limit %zu exceeds the bitmask DP cap %zu",
                  exact_limit, maxExactLimit);
-
-    // Build the per-lattice distance cache: compact ancilla ids,
-    // all-pairs spatial distances, per-ancilla edge distances.
-    const std::size_t sites = lattice.numQubits();
-    _ancillaId.assign(sites, noAncilla);
-    for (std::size_t idx = 0; idx < sites; ++idx) {
-        const Coord c = lattice.coord(idx);
-        if (lattice.isAncilla(c))
-            _ancillaId[idx] = std::uint32_t(_numAncilla++);
-    }
-    if (_numAncilla * _numAncilla > maxCachedPairs) {
-        _ancillaId.clear();
-        _numAncilla = 0;
-        return;
-    }
-
-    // Build into locals: edgeDistance() consults _edge, which must
-    // stay empty (uncached path) until the table is complete.
-    std::vector<std::uint32_t> spatial(_numAncilla * _numAncilla, 0);
-    std::vector<std::uint32_t> edge(_numAncilla, 0);
-    for (std::size_t ia = 0; ia < sites; ++ia) {
-        const std::uint32_t a = _ancillaId[ia];
-        if (a == noAncilla)
-            continue;
-        const Coord ca = lattice.coord(ia);
-        const DetectionEvent ea{0, ca, lattice.siteType(ca)};
-        edge[a] = std::uint32_t(edgeDistance(ea));
-        for (std::size_t ib = 0; ib < sites; ++ib) {
-            const std::uint32_t b = _ancillaId[ib];
-            if (b == noAncilla)
-                continue;
-            const Coord cb = lattice.coord(ib);
-            const std::uint32_t dr =
-                std::uint32_t(std::abs(ca.row - cb.row));
-            const std::uint32_t dc =
-                std::uint32_t(std::abs(ca.col - cb.col));
-            // Only same-type pairs are ever queried; cross-type
-            // entries hold the truncated value and stay unused.
-            spatial[a * _numAncilla + b] = (dr + dc) / 2;
-        }
-    }
-    _spatial = std::move(spatial);
-    _edge = std::move(edge);
 }
 
 std::uint64_t
@@ -212,12 +163,6 @@ MwpmDecoder::distance(const DetectionEvent &a, const DetectionEvent &b) const
                  "cannot match events of different stabilizer types");
     const std::uint64_t dt = a.round > b.round
         ? a.round - b.round : b.round - a.round;
-    if (!_spatial.empty()) {
-        const std::uint32_t ia = _ancillaId[_lattice->index(a.ancilla)];
-        const std::uint32_t ib = _ancillaId[_lattice->index(b.ancilla)];
-        return _spaceWeight * _spatial[ia * _numAncilla + ib]
-            + _timeWeight * dt;
-    }
     const std::uint64_t dr = std::uint64_t(std::abs(a.ancilla.row
                                                     - b.ancilla.row));
     const std::uint64_t dc = std::uint64_t(std::abs(a.ancilla.col
@@ -230,11 +175,6 @@ MwpmDecoder::distance(const DetectionEvent &a, const DetectionEvent &b) const
 std::uint64_t
 MwpmDecoder::edgeDistance(const DetectionEvent &e) const
 {
-    if (!_edge.empty()) {
-        const std::uint32_t id = _ancillaId[_lattice->index(e.ancilla)];
-        if (id != noAncilla)
-            return _edge[id];
-    }
     const Coord c = e.ancilla;
     if (e.type == SiteType::ZAncilla) {
         // X-error chains terminate on the top/bottom data rows.

@@ -8,7 +8,8 @@
  * event must be matched either to another event of the same
  * stabilizer type or to the nearest code boundary; edge weights are
  * space-time Manhattan distances (data qubits crossed plus rounds
- * spanned).
+ * spanned), computed from coordinates on every query; construction
+ * is O(1).
  *
  * Matching strategy: exact minimum-weight matching by bitmask
  * dynamic programming for up to `exactLimit` events (optimal), and a
@@ -126,12 +127,16 @@ class MwpmDecoder
 
     /**
      * Space-time distance between two same-type events: data qubits
-     * crossed between the checks plus rounds spanned.
+     * crossed between the checks, (|drow| + |dcol|) / 2, plus rounds
+     * spanned, each scaled by its edge weight.
      */
     std::uint64_t distance(const DetectionEvent &a,
                            const DetectionEvent &b) const;
 
-    /** Data qubits crossed to reach the nearest open boundary. */
+    /**
+     * Data qubits crossed to reach the nearest open boundary: the
+     * nearer lattice edge of the check's type, or a masked check.
+     */
     std::uint64_t boundaryDistance(const DetectionEvent &e) const;
 
     /**
@@ -156,23 +161,6 @@ class MwpmDecoder
     MaskPredicate _masked;
     std::uint64_t _spaceWeight = 1;
     std::uint64_t _timeWeight = 1;
-
-    /**
-     * Per-lattice distance cache, built once at construction: the
-     * hot paths (exact DP precompute, greedy edge build, cluster
-     * growth) query distance()/boundaryDistance() O(n^2) times per
-     * decode, and recomputing the lattice geometry each time
-     * dominated the profile. `_ancillaId` maps a lattice site index
-     * to a compact ancilla id; `_spatial` holds (dr+dc)/2 for every
-     * ancilla pair; `_edge` holds each ancilla's data-qubit count to
-     * the nearest lattice edge. Weights are applied at lookup so
-     * setEdgeWeights() stays cheap. Empty (= disabled) when the
-     * all-pairs table would be unreasonably large.
-     */
-    std::vector<std::uint32_t> _ancillaId;
-    std::vector<std::uint32_t> _spatial;
-    std::vector<std::uint32_t> _edge;
-    std::size_t _numAncilla = 0;
 
     // Registry counters, bound once at construction rather than via
     // function-local statics (which outlive registry resets).

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <utility>
 
 #include "decode/mwpm_decoder.hpp"
 #include "qecc/distance.hpp"
@@ -120,6 +123,179 @@ TEST(Mwpm, PathToBoundaryLengthMatchesDistance)
         const DetectionEvent e{0, c, SiteType::ZAncilla};
         EXPECT_EQ(h.decoder.pathToBoundary(c).size(),
                   h.decoder.boundaryDistance(e));
+    }
+}
+
+/**
+ * Reference for the arithmetic distance queries: the all-pairs
+ * ancilla table MwpmDecoder used to build in its constructor. Compact
+ * ancilla ids, (dr+dc)/2 for every ancilla pair and each ancilla's
+ * data-qubit count to the nearest lattice edge of its type. Weights
+ * are applied at lookup, as the decoder did.
+ */
+struct ReferenceDistanceTable
+{
+    /** The decoder only built the table below this many pairs. */
+    static constexpr std::size_t maxCachedPairs = std::size_t(1) << 24;
+
+    static std::uint32_t
+    edgeDistance(const Lattice &lattice, Coord c)
+    {
+        if (lattice.siteType(c) == SiteType::ZAncilla)
+            return std::uint32_t(std::min(
+                (c.row + 1) / 2, (int(lattice.rows()) - c.row) / 2));
+        return std::uint32_t(std::min(
+            (c.col + 1) / 2, (int(lattice.cols()) - c.col) / 2));
+    }
+
+    static std::uint32_t
+    spatialDistance(Coord a, Coord b)
+    {
+        return std::uint32_t(std::abs(a.row - b.row)
+                             + std::abs(a.col - b.col))
+            / 2;
+    }
+
+    explicit ReferenceDistanceTable(const Lattice &lattice)
+        : lattice(&lattice)
+    {
+        const std::size_t sites = lattice.numQubits();
+        ancillaId.assign(sites, noAncilla);
+        for (std::size_t idx = 0; idx < sites; ++idx)
+            if (lattice.isAncilla(lattice.coord(idx)))
+                ancillaId[idx] = std::uint32_t(numAncilla++);
+        spatial.assign(numAncilla * numAncilla, 0);
+        edge.assign(numAncilla, 0);
+        for (std::size_t ia = 0; ia < sites; ++ia) {
+            const std::uint32_t a = ancillaId[ia];
+            if (a == noAncilla)
+                continue;
+            const Coord ca = lattice.coord(ia);
+            edge[a] = edgeDistance(lattice, ca);
+            for (std::size_t ib = 0; ib < sites; ++ib) {
+                const std::uint32_t b = ancillaId[ib];
+                if (b != noAncilla)
+                    spatial[a * numAncilla + b] =
+                        spatialDistance(ca, lattice.coord(ib));
+            }
+        }
+    }
+
+    std::uint64_t
+    distance(const DetectionEvent &a, const DetectionEvent &b,
+             std::uint64_t space_weight,
+             std::uint64_t time_weight) const
+    {
+        const std::uint32_t ia = ancillaId[lattice->index(a.ancilla)];
+        const std::uint32_t ib = ancillaId[lattice->index(b.ancilla)];
+        const std::uint64_t dt = a.round > b.round ? a.round - b.round
+                                                   : b.round - a.round;
+        return space_weight * spatial[ia * numAncilla + ib]
+            + time_weight * dt;
+    }
+
+    std::uint64_t
+    boundaryDistance(const DetectionEvent &e,
+                     std::uint64_t space_weight) const
+    {
+        return space_weight * edge[ancillaId[lattice->index(e.ancilla)]];
+    }
+
+    static constexpr std::uint32_t noAncilla = ~std::uint32_t(0);
+    const Lattice *lattice;
+    std::vector<std::uint32_t> ancillaId;
+    std::vector<std::uint32_t> spatial;
+    std::vector<std::uint32_t> edge;
+    std::size_t numAncilla = 0;
+};
+
+/** The two edge-weight settings every distance check runs under. */
+constexpr std::pair<std::uint64_t, std::uint64_t> edgeWeightCases[] = {
+    {1, 1}, {2, 3}};
+
+/**
+ * distance() and boundaryDistance() equal the former per-lattice
+ * table for every same-type ancilla pair and every ancilla, at every
+ * size where the decoder used to build it.
+ */
+class DistanceMatchesTable
+    : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(DistanceMatchesTable, EveryPairAndBoundary)
+{
+    const Lattice lattice = Lattice::forDistance(GetParam());
+    const ReferenceDistanceTable ref(lattice);
+    ASSERT_LE(ref.numAncilla * ref.numAncilla,
+              ReferenceDistanceTable::maxCachedPairs)
+        << "the decoder built its table at this size";
+    for (const auto &[space_w, time_w] : edgeWeightCases) {
+        MwpmDecoder decoder(lattice);
+        decoder.setEdgeWeights(space_w, time_w);
+        for (const SiteType type :
+             {SiteType::ZAncilla, SiteType::XAncilla}) {
+            const std::vector<Coord> checks = lattice.sites(type);
+            for (std::size_t i = 0; i < checks.size(); ++i) {
+                const DetectionEvent a{i % 4, checks[i], type};
+                ASSERT_EQ(decoder.boundaryDistance(a),
+                          ref.boundaryDistance(a, space_w))
+                    << "check (" << checks[i].row << ","
+                    << checks[i].col << ")";
+                for (std::size_t j = 0; j < checks.size(); ++j) {
+                    const DetectionEvent b{j % 3, checks[j], type};
+                    ASSERT_EQ(decoder.distance(a, b),
+                              ref.distance(a, b, space_w, time_w))
+                        << "checks " << i << " and " << j;
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(FormerTableSizes, DistanceMatchesTable,
+                         ::testing::Values(3, 5, 9, 13));
+
+TEST(Mwpm, DistanceAtSizeBeyondFormerTableCap)
+{
+    // d=47 has more ancillas than the former table allowed, so the
+    // decoder always computed these distances arithmetically. Check
+    // every ancilla's boundary distance and its distance to the
+    // corner, centre and last checks of its type.
+    const Lattice lattice = Lattice::forDistance(47);
+    std::size_t ancillas = 0;
+    for (std::size_t idx = 0; idx < lattice.numQubits(); ++idx)
+        ancillas += lattice.isAncilla(lattice.coord(idx));
+    ASSERT_GT(ancillas * ancillas, ReferenceDistanceTable::maxCachedPairs);
+
+    for (const auto &[space_w, time_w] : edgeWeightCases) {
+        MwpmDecoder decoder(lattice);
+        decoder.setEdgeWeights(space_w, time_w);
+        for (const SiteType type :
+             {SiteType::ZAncilla, SiteType::XAncilla}) {
+            const std::vector<Coord> checks = lattice.sites(type);
+            const Coord anchors[] = {checks.front(),
+                                     checks[checks.size() / 2],
+                                     checks.back()};
+            for (std::size_t i = 0; i < checks.size(); ++i) {
+                const DetectionEvent a{i % 4, checks[i], type};
+                ASSERT_EQ(decoder.boundaryDistance(a),
+                          space_w
+                              * ReferenceDistanceTable::edgeDistance(
+                                  lattice, checks[i]));
+                for (const Coord anchor : anchors) {
+                    const DetectionEvent b{1, anchor, type};
+                    const std::uint64_t dt = a.round > 1 ? a.round - 1
+                                                         : 1 - a.round;
+                    ASSERT_EQ(decoder.distance(a, b),
+                              space_w
+                                      * ReferenceDistanceTable::
+                                          spatialDistance(checks[i],
+                                                          anchor)
+                                  + time_w * dt);
+                }
+            }
+        }
     }
 }
 

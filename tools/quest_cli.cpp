@@ -45,6 +45,7 @@
 #include "fleet/worker.hpp"
 #include "isa/trace.hpp"
 #include "qecc/extractor.hpp"
+#include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/stats.hpp"
 #include "sim/table.hpp"
@@ -64,6 +65,25 @@ flagError(const std::string &flag, const char *what)
 {
     std::fprintf(stderr, "quest: --%s %s\n", flag.c_str(), what);
     std::exit(2);
+}
+
+/** Strict number parse: all of `text`, in range, or false. */
+bool
+parseLong(const std::string &text, long &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtol(text.c_str(), &end, 10);
+    return !text.empty() && *end == '\0' && errno != ERANGE;
+}
+
+bool
+parseDouble(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtod(text.c_str(), &end);
+    return !text.empty() && *end == '\0' && errno != ERANGE;
 }
 
 /**
@@ -114,10 +134,8 @@ class Options
         const auto it = _values.find(key);
         if (it == _values.end())
             return fallback;
-        char *end = nullptr;
-        errno = 0;
-        const double v = std::strtod(it->second.c_str(), &end);
-        if (it->second.empty() || *end != '\0' || errno == ERANGE)
+        double v = 0.0;
+        if (!parseDouble(it->second, v))
             flagError(key, "expects a number");
         return v;
     }
@@ -128,10 +146,8 @@ class Options
         const auto it = _values.find(key);
         if (it == _values.end())
             return fallback;
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(it->second.c_str(), &end, 10);
-        if (it->second.empty() || *end != '\0' || errno == ERANGE)
+        long v = 0;
+        if (!parseLong(it->second, v))
             flagError(key, "expects an integer");
         return v;
     }
@@ -257,12 +273,32 @@ cmdMicrocode(const Options &opts)
 int
 cmdTraceGen(const Options &opts)
 {
+    const long instructions = opts.getInt("instructions", 10000);
+    if (instructions < 1)
+        flagError("instructions", "must be at least 1");
+    // The generator needs two logical qubits, and an operand field
+    // holds qubit ids up to maxLogicalOperand (4095).
+    const long qubits = opts.getInt("qubits", 16);
+    if (qubits < 2 || qubits > long(isa::maxLogicalOperand) + 1)
+        flagError("qubits", "must be in [2, 4096]");
+    const long seed = opts.getInt("seed", 1);
+    if (seed < 0)
+        flagError("seed", "must be non-negative");
     isa::TraceGenConfig cfg;
-    cfg.numInstructions =
-        std::size_t(opts.getInt("instructions", 10000));
-    cfg.logicalQubits = std::size_t(opts.getInt("qubits", 16));
-    cfg.seed = std::uint64_t(opts.getInt("seed", 1));
+    cfg.numInstructions = std::size_t(instructions);
+    cfg.logicalQubits = std::size_t(qubits);
+    cfg.seed = std::uint64_t(seed);
     cfg.maskFraction = opts.getDouble("mask-fraction", 0.0);
+    if (!(cfg.maskFraction >= 0.0 && cfg.maskFraction <= 1.0))
+        flagError("mask-fraction", "must be in [0, 1]");
+    if (cfg.tFraction + cfg.cnotFraction + cfg.maskFraction > 1.0) {
+        char what[96];
+        std::snprintf(what, sizeof(what),
+                      "must be at most %.2f (T and CNOT take the rest "
+                      "of the opcode mix)",
+                      1.0 - cfg.tFraction - cfg.cnotFraction);
+        flagError("mask-fraction", what);
+    }
     const std::string out = opts.get("out", "trace.qtrace");
 
     const isa::LogicalTrace trace = generateApplicationTrace(cfg);
@@ -688,21 +724,43 @@ sweepSpecFromFlags(const Options &opts)
     for (const std::string &name :
          splitList(opts.get("protocols", "Steane")))
         spec.protocols.push_back(parseProtocol(name));
+    if (spec.protocols.empty())
+        flagError("protocols", "expects a comma-separated list");
+    // List flags parse every element strictly, like the scalar ones.
+    const char *distances_usage =
+        "expects a comma-separated list of odd integers in [3, 63]";
     spec.distances.clear();
-    for (const std::string &d :
-         splitList(opts.get("distances", "3,5")))
-        spec.distances.push_back(std::size_t(std::atol(d.c_str())));
+    for (const std::string &text :
+         splitList(opts.get("distances", "3,5"))) {
+        long d = 0;
+        if (!parseLong(text, d) || d < 3 || d > 63 || d % 2 == 0)
+            flagError("distances", distances_usage);
+        spec.distances.push_back(std::size_t(d));
+    }
+    if (spec.distances.empty())
+        flagError("distances", distances_usage);
+    const char *rates_usage =
+        "expects a comma-separated list of numbers in [0, 1]";
     spec.errorRates.clear();
-    for (const std::string &p :
-         splitList(opts.get("error-rates", "1e-3")))
-        spec.errorRates.push_back(std::atof(p.c_str()));
-    spec.trialsPerPoint = std::uint64_t(opts.getInt("trials", 256));
-    spec.grain = std::uint64_t(opts.getInt("grain", 64));
+    for (const std::string &text :
+         splitList(opts.get("error-rates", "1e-3"))) {
+        double p = 0.0;
+        if (!parseDouble(text, p) || !(p >= 0.0 && p <= 1.0))
+            flagError("error-rates", rates_usage);
+        spec.errorRates.push_back(p);
+    }
+    if (spec.errorRates.empty())
+        flagError("error-rates", rates_usage);
+    const long trials = opts.getInt("trials", 256);
+    if (trials < 1)
+        flagError("trials", "must be at least 1");
+    const long grain = opts.getInt("grain", 64);
+    if (grain < 1)
+        flagError("grain", "must be at least 1");
+    spec.trialsPerPoint = std::uint64_t(trials);
+    spec.grain = std::uint64_t(grain);
     spec.seed = std::uint64_t(opts.getInt("seed", 1));
-    if (!spec.valid())
-        sim::fatal("invalid sweep grid: need non-empty axes, odd "
-                   "distances in [3,63], error rates in [0,1], "
-                   "positive --trials/--grain");
+    QUEST_ASSERT(spec.valid(), "flag checks admitted an invalid grid");
     return spec;
 }
 
