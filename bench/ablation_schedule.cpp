@@ -26,11 +26,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/mce.hpp"
 #include "core/scheduler.hpp"
 #include "isa/instructions.hpp"
@@ -313,40 +313,36 @@ main(int argc, char **argv)
                   "path");
     table.print(std::cout);
 
-    std::ofstream os(out_path);
-    os << "{\n  \"bench\": \"ablation_schedule\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"rounds\": " << rounds << ",\n"
-       << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const PointResult &r = results[i];
-        os << "  {\"distance\": " << r.distance << ", \"tiles\": "
-           << r.tiles << ", \"mode\": \"" << r.mode
-           << "\", \"policy\": \"" << r.policy
-           << "\", \"shared_bandwidth\": " << r.sharedBandwidth
-           << ", \"makespan_cycles\": " << r.makespanCycles
-           << ", \"cycles_per_round\": " << r.cyclesPerRound
-           << ", \"rounds_per_sec\": " << r.roundsPerSec
-           << ", \"uops_per_cycle\": " << r.uopsPerCycle
-           << ", \"qubits_per_mce\": " << r.qubitsPerMce
-           << ", \"issued\": " << r.issued
-           << ", \"stall_data\": " << r.stalls.data
-           << ", \"stall_queue_full\": " << r.stalls.queueFull
-           << ", \"stall_fetch\": " << r.stalls.fetchStarved
-           << ", \"stall_bandwidth\": " << r.stalls.bandwidthWait
-           << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"equivalence\": [\n";
-    for (std::size_t i = 0; i < digests.size(); ++i) {
-        os << "  {\"distance\": " << digests[i].first
-           << ", \"digest_match\": "
-           << (digests[i].second ? "true" : "false") << "}"
-           << (i + 1 < digests.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"metrics\": ";
-    sim::metricsWriteJson(os);
-    os << "\n}\n";
-    std::cout << "wrote " << out_path << "\n";
+    sim::Json configs = sim::Json::array();
+    for (const PointResult &r : results)
+        configs.push(sim::Json::object()
+                         .set("distance", r.distance)
+                         .set("tiles", r.tiles)
+                         .set("mode", r.mode)
+                         .set("policy", r.policy)
+                         .set("shared_bandwidth", r.sharedBandwidth)
+                         .set("makespan_cycles", r.makespanCycles)
+                         .set("cycles_per_round", r.cyclesPerRound)
+                         .set("rounds_per_sec", r.roundsPerSec)
+                         .set("uops_per_cycle", r.uopsPerCycle)
+                         .set("qubits_per_mce", r.qubitsPerMce)
+                         .set("issued", r.issued)
+                         .set("stall_data", r.stalls.data)
+                         .set("stall_queue_full", r.stalls.queueFull)
+                         .set("stall_fetch", r.stalls.fetchStarved)
+                         .set("stall_bandwidth", r.stalls.bandwidthWait));
+    sim::Json equivalence = sim::Json::array();
+    for (const auto &[distance, match] : digests)
+        equivalence.push(sim::Json::object()
+                             .set("distance", distance)
+                             .set("digest_match", match));
+    bench::writeBenchJson(out_path,
+                          sim::Json::object()
+                              .set("bench", "ablation_schedule")
+                              .set("smoke", smoke)
+                              .set("rounds", rounds)
+                              .set("configs", std::move(configs))
+                              .set("equivalence", std::move(equivalence)));
 
     if (check) {
         if (gate_failures != 0) {

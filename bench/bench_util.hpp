@@ -19,6 +19,7 @@
 #include <iostream>
 #include <string>
 
+#include "sim/json.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/table.hpp"
@@ -36,22 +37,22 @@ emit(const sim::Table &table)
 }
 
 /**
- * Dump the global metrics registry as a BENCH_*.json artifact: the
- * figure benches record their plotted series (and the cycle
- * accounting the run accumulated) as registry entries, so the JSON
- * carries both the paper numbers and the breakdown behind them.
+ * Write a BENCH_*.json artifact: `doc` plus the global metrics
+ * registry (Wallclock metrics included) under "metrics". The figure
+ * benches record their plotted series (and the cycle accounting the
+ * run accumulated) as registry entries, so the JSON carries both the
+ * paper numbers and the breakdown behind them.
  */
 inline void
-writeMetricsJson(const std::string &bench, const std::string &path)
+writeBenchJson(const std::string &path, sim::Json doc)
 {
+    doc.set("metrics", sim::metrics::Registry::global().toJson(true));
     std::ofstream os(path);
     if (!os) {
         std::cerr << "cannot write " << path << "\n";
         return;
     }
-    os << "{\n  \"bench\": \"" << bench << "\",\n  \"metrics\": ";
-    quest::sim::metricsWriteJson(os);
-    os << "\n}\n";
+    os << doc.dump() << "\n";
     std::cout << "wrote " << path << "\n";
 }
 

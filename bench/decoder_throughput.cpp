@@ -41,12 +41,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "decode/cluster_decoder.hpp"
 #include "decode/memory_experiment.hpp"
 #include "sim/logging.hpp"
@@ -198,14 +198,15 @@ struct ConfigResult
     bool deterministic = false;
 };
 
-void
-jsonTiming(std::ostream &os, const char *key, const Timing &t)
+sim::Json
+timingJson(const Timing &t)
 {
-    os << "    \"" << key << "\": {"
-       << "\"threads\": " << t.threads
-       << ", \"trials_per_sec\": " << t.trialsPerSec
-       << ", \"p50_ns\": " << t.p50Ns
-       << ", \"p99_ns\": " << t.p99Ns << "}";
+    sim::Json out = sim::Json::object();
+    out.set("threads", t.threads)
+        .set("trials_per_sec", t.trialsPerSec)
+        .set("p50_ns", t.p50Ns)
+        .set("p99_ns", t.p99Ns);
+    return out;
 }
 
 } // namespace
@@ -326,29 +327,23 @@ main(int argc, char **argv)
                   "warmed, rep-expanded work");
     table.print(std::cout);
 
-    std::ofstream os(out_path);
-    os << "{\n  \"bench\": \"decoder_throughput\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"error_rate\": " << p << ",\n"
-       << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ConfigResult &r = results[i];
-        os << "  {\n    \"distance\": " << r.distance
-           << ",\n    \"decoder\": \"" << r.decoder << "\",\n";
-        jsonTiming(os, "single_thread", r.single);
-        os << ",\n";
-        jsonTiming(os, "multi_thread", r.multi);
-        os << ",\n    \"scaling\": " << r.scaling
-           << ",\n    \"reps\": " << r.single.reps
-           << ",\n    \"deterministic\": "
-           << (r.deterministic ? "true" : "false") << "\n  }"
-           << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"metrics\": ";
-    sim::metricsWriteJson(os);
-    os << "\n}\n";
-    std::cout << "\nwrote " << out_path << "\n";
+    sim::Json configs = sim::Json::array();
+    for (const ConfigResult &r : results)
+        configs.push(sim::Json::object()
+                         .set("distance", r.distance)
+                         .set("decoder", r.decoder)
+                         .set("single_thread", timingJson(r.single))
+                         .set("multi_thread", timingJson(r.multi))
+                         .set("scaling", r.scaling)
+                         .set("reps", r.single.reps)
+                         .set("deterministic", r.deterministic));
+    bench::writeBenchJson(out_path,
+                          sim::Json::object()
+                              .set("bench", "decoder_throughput")
+                              .set("smoke", smoke)
+                              .set("trials", trials)
+                              .set("error_rate", p)
+                              .set("configs", std::move(configs)));
 
     if (check_scaling > 0.0) {
         if (std::thread::hardware_concurrency() < 2

@@ -68,9 +68,9 @@ printFigure()
                    "geometric-mean total savings (log10)")
         .set(geometric / double(suite.size()));
     quest::bench::emit(table);
-    quest::bench::writeMetricsJson(
-        "fig14_bandwidth_savings",
-        "BENCH_fig14_bandwidth_savings.json");
+    quest::bench::writeBenchJson(
+        "BENCH_fig14_bandwidth_savings.json",
+        quest::sim::Json::object().set("bench", "fig14_bandwidth_savings"));
 }
 
 void

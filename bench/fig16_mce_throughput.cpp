@@ -58,8 +58,9 @@ printFigure()
     table.caption("paper: throughput set by round duration / "
                   "per-round uop demand x memory bandwidth");
     quest::bench::emit(table);
-    quest::bench::writeMetricsJson("fig16_mce_throughput",
-                                   "BENCH_fig16_mce_throughput.json");
+    quest::bench::writeBenchJson(
+        "BENCH_fig16_mce_throughput.json",
+        quest::sim::Json::object().set("bench", "fig16_mce_throughput"));
 }
 
 void

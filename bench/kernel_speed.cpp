@@ -39,11 +39,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "decode/detection.hpp"
 #include "qecc/extractor.hpp"
 #include "sim/logging.hpp"
@@ -723,42 +723,36 @@ main(int argc, char **argv)
                   + ": lane t of batch b is trial b*64+t");
     table.print(std::cout);
 
-    std::ofstream os(out_path);
-    os << "{\n  \"bench\": \"kernel_speed\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"simd_target\": \"" << simd_target << "\",\n"
-       << "  \"witness\": " << witness << ",\n"
-       << "  \"gate_kernels\": [\n";
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-        const GateResult &g = gates[i];
-        os << "  {\"kernel\": \"" << g.kernel << "\", \"n\": "
-           << g.n << ", \"scalar_ns_per_op\": " << g.refNs
-           << ", \"word_ns_per_op\": " << g.wordNs
-           << ", \"speedup\": " << g.speedup() << "}"
-           << (i + 1 < gates.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"frames\": {\n"
-       << "    \"distance\": " << frames.distance << ",\n"
-       << "    \"trials\": " << frames.trials << ",\n"
-       << "    \"scalar_reps\": " << frames.scalarReps << ",\n"
-       << "    \"batched_reps\": " << frames.batchedReps << ",\n"
-       << "    \"scalar_trials_per_sec\": " << frames.scalarPerSec
-       << ",\n"
-       << "    \"batched_trials_per_sec\": " << frames.batchedPerSec
-       << ",\n"
-       << "    \"parallel_skipped\": "
-       << (frames.parSkipped ? "true" : "false") << ",\n";
+    sim::Json gate_kernels = sim::Json::array();
+    for (const GateResult &g : gates)
+        gate_kernels.push(sim::Json::object()
+                              .set("kernel", g.kernel)
+                              .set("n", g.n)
+                              .set("scalar_ns_per_op", g.refNs)
+                              .set("word_ns_per_op", g.wordNs)
+                              .set("speedup", g.speedup()));
+    sim::Json frame = sim::Json::object();
+    frame.set("distance", frames.distance)
+        .set("trials", frames.trials)
+        .set("scalar_reps", frames.scalarReps)
+        .set("batched_reps", frames.batchedReps)
+        .set("scalar_trials_per_sec", frames.scalarPerSec)
+        .set("batched_trials_per_sec", frames.batchedPerSec)
+        .set("parallel_skipped", frames.parSkipped);
     if (!frames.parSkipped)
-        os << "    \"batched_parallel_trials_per_sec\": "
-           << frames.batchedParPerSec << ",\n";
-    os << "    \"parallel_threads\": " << frames.parThreads << ",\n"
-       << "    \"speedup\": " << frames.speedup() << ",\n"
-       << "    \"digests_identical\": "
-       << (frames.identical ? "true" : "false") << "\n  },\n"
-       << "  \"metrics\": ";
-    sim::metricsWriteJson(os);
-    os << "\n}\n";
-    std::cout << "\nwrote " << out_path << "\n";
+        frame.set("batched_parallel_trials_per_sec",
+                  frames.batchedParPerSec);
+    frame.set("parallel_threads", frames.parThreads)
+        .set("speedup", frames.speedup())
+        .set("digests_identical", frames.identical);
+    bench::writeBenchJson(out_path,
+                          sim::Json::object()
+                              .set("bench", "kernel_speed")
+                              .set("smoke", smoke)
+                              .set("simd_target", simd_target)
+                              .set("witness", witness)
+                              .set("gate_kernels", std::move(gate_kernels))
+                              .set("frames", std::move(frame)));
 
     if (check) {
         bool ok = frames.identical;

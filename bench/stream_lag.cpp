@@ -32,11 +32,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "decode/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
@@ -373,43 +373,40 @@ main(int argc, char **argv)
         std::printf("construct @d=%zu: StreamingDecoder %.2f us\n",
                     cb.distance, cb.streamingDecoderUs);
 
-    std::ofstream os(out_path);
-    os << "{\n  \"bench\": \"stream_lag\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"error_rate\": " << p << ",\n"
-       << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ConfigResult &r = results[i];
-        os << "  {\"distance\": " << r.distance << ", \"shape\": \""
-           << r.shape << "\", \"window\": " << r.window
-           << ", \"stride\": " << r.stride << ", \"failures\": "
-           << r.failures << ", \"windows\": " << r.windows
-           << ", \"windows_per_sec\": " << r.windowsPerSec
-           << ", \"lag_p50\": " << r.lagP50 << ", \"lag_p99\": "
-           << r.lagP99 << "}"
-           << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"merge\": [\n";
-    for (std::size_t i = 0; i < merges.size(); ++i) {
-        const MergeBench &mb = merges[i];
-        os << "  {\"flips\": " << mb.flips
-           << ", \"find_erase_ns\": " << mb.oldNsPerOp
-           << ", \"sort_cancel_ns\": " << mb.newNsPerOp
-           << ", \"parity\": " << (mb.parity ? "true" : "false")
-           << "}" << (i + 1 < merges.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"construct\": [\n";
-    for (std::size_t i = 0; i < constructs.size(); ++i) {
-        const ConstructBench &cb = constructs[i];
-        os << "  {\"distance\": " << cb.distance
-           << ", \"streaming_decoder_us\": " << cb.streamingDecoderUs
-           << "}" << (i + 1 < constructs.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"metrics\": ";
-    sim::metricsWriteJson(os);
-    os << "\n}\n";
-    std::cout << "wrote " << out_path << "\n";
+    sim::Json configs = sim::Json::array();
+    for (const ConfigResult &r : results)
+        configs.push(sim::Json::object()
+                         .set("distance", r.distance)
+                         .set("shape", r.shape)
+                         .set("window", r.window)
+                         .set("stride", r.stride)
+                         .set("failures", r.failures)
+                         .set("windows", r.windows)
+                         .set("windows_per_sec", r.windowsPerSec)
+                         .set("lag_p50", r.lagP50)
+                         .set("lag_p99", r.lagP99));
+    sim::Json merge = sim::Json::array();
+    for (const MergeBench &mb : merges)
+        merge.push(sim::Json::object()
+                       .set("flips", mb.flips)
+                       .set("find_erase_ns", mb.oldNsPerOp)
+                       .set("sort_cancel_ns", mb.newNsPerOp)
+                       .set("parity", mb.parity));
+    sim::Json construct = sim::Json::array();
+    for (const ConstructBench &cb : constructs)
+        construct.push(sim::Json::object()
+                           .set("distance", cb.distance)
+                           .set("streaming_decoder_us",
+                                cb.streamingDecoderUs));
+    bench::writeBenchJson(out_path,
+                          sim::Json::object()
+                              .set("bench", "stream_lag")
+                              .set("smoke", smoke)
+                              .set("trials", trials)
+                              .set("error_rate", p)
+                              .set("configs", std::move(configs))
+                              .set("merge", std::move(merge))
+                              .set("construct", std::move(construct)));
 
     if (check) {
         if (gate_failures != 0) {

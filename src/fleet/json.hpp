@@ -1,127 +1,20 @@
 /**
  * @file
- * Minimal JSON value for the fleet wire protocol.
+ * Forwarding header: the JSON value type is sim::Json (sim/json.hpp).
  *
- * The manager and workers exchange small framed JSON messages
- * (protocol.hpp). The repo writes JSON in several places but never
- * had to *parse* it; this is the smallest value type that closes the
- * loop: null/bool/unsigned/signed/double/string/array/object, strict
- * parsing, deterministic serialization (object keys keep insertion
- * order, doubles print with %.17g so they round-trip exactly).
- *
- * Determinism note: values whose exact bits matter across the wire
- * (seeds, witness digests, floating-point partial sums) travel as
- * unsigned 64-bit integers — the double partials are bit-cast by the
- * caller (sweep.cpp) — so the merge never depends on decimal
- * round-tripping at all.
+ * Fleet sources include sim/json.hpp directly. This header remains
+ * only because the benchmark harness (questbench/questbench.cpp)
+ * still includes it and spells the type fleet::Json; it goes away
+ * once that harness includes sim/json.hpp itself.
  */
 
 #ifndef QUEST_FLEET_JSON_HPP
 #define QUEST_FLEET_JSON_HPP
 
-#include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
+#include "sim/json.hpp"
 
 namespace quest::fleet {
-
-/** A parsed JSON value (tree-owning, copyable). */
-class Json
-{
-  public:
-    enum class Type
-    {
-        Null,
-        Bool,
-        Uint,   ///< non-negative integer literal
-        Int,    ///< negative integer literal
-        Double, ///< literal with '.', 'e' or 'E'
-        String,
-        Array,
-        Object,
-    };
-
-    Json() = default;
-    Json(bool b) : _type(Type::Bool), _bool(b) {}
-    Json(std::uint64_t u) : _type(Type::Uint), _uint(u) {}
-    Json(std::int64_t i) : _type(Type::Int), _int(i) {}
-    Json(int i) : Json(std::int64_t(i)) {}
-    Json(double d) : _type(Type::Double), _double(d) {}
-    Json(std::string s) : _type(Type::String), _string(std::move(s))
-    {}
-    Json(const char *s) : Json(std::string(s)) {}
-
-    static Json array() { Json j; j._type = Type::Array; return j; }
-    static Json object() { Json j; j._type = Type::Object; return j; }
-
-    Type type() const { return _type; }
-    bool isNull() const { return _type == Type::Null; }
-    bool isNumber() const
-    {
-        return _type == Type::Uint || _type == Type::Int
-            || _type == Type::Double;
-    }
-
-    /** @name Typed accessors; fatal on type mismatch. */
-    ///@{
-    bool asBool() const;
-    std::uint64_t asU64() const;
-    std::int64_t asI64() const;
-    double asDouble() const;
-    const std::string &asString() const;
-    ///@}
-
-    /** @name Array access. */
-    ///@{
-    void push(Json v);
-    std::size_t size() const;
-    const Json &at(std::size_t i) const;
-    ///@}
-
-    /** @name Object access (insertion-ordered). */
-    ///@{
-    Json &set(const std::string &key, Json v);
-    bool has(const std::string &key) const;
-    /** Fatal when the key is absent. */
-    const Json &get(const std::string &key) const;
-    /** Convenience getters with defaults for optional keys. */
-    std::uint64_t getU64(const std::string &key,
-                         std::uint64_t fallback) const;
-    double getDouble(const std::string &key, double fallback) const;
-    std::string getString(const std::string &key,
-                          const std::string &fallback) const;
-    const std::vector<std::pair<std::string, Json>> &
-    members() const
-    {
-        return _members;
-    }
-    ///@}
-
-    /** Compact single-line serialization. */
-    std::string dump() const;
-
-    /**
-     * Strict parse of one JSON document.
-     * @return false (and leaves `out` unspecified) on malformed
-     *         input — a fleet peer sending garbage must not take the
-     *         manager down.
-     */
-    static bool parse(const std::string &text, Json &out);
-
-  private:
-    void dumpTo(std::string &out) const;
-
-    Type _type = Type::Null;
-    bool _bool = false;
-    std::uint64_t _uint = 0;
-    std::int64_t _int = 0;
-    double _double = 0.0;
-    std::string _string;
-    std::vector<Json> _items;
-    std::vector<std::pair<std::string, Json>> _members;
-};
-
+using sim::Json;
 } // namespace quest::fleet
 
 #endif // QUEST_FLEET_JSON_HPP

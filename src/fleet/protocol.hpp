@@ -34,9 +34,11 @@
 #include <cstdint>
 #include <string>
 
-#include "json.hpp"
+#include "sim/json.hpp"
 
 namespace quest::fleet {
+
+using sim::Json;
 
 /** Largest accepted frame payload (bytes). */
 inline constexpr std::uint32_t maxFramePayload = 4u << 20;

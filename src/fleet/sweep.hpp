@@ -34,8 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "json.hpp"
 #include "qecc/protocol.hpp"
+#include "sim/json.hpp"
 #include "sim/table.hpp"
 
 namespace quest::decode {
@@ -43,6 +43,8 @@ class MemoryExperiment;
 } // namespace quest::decode
 
 namespace quest::fleet {
+
+using sim::Json;
 
 /** One sweep job: the grid, the budget and the replay seed. */
 struct SweepSpec

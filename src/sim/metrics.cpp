@@ -257,26 +257,17 @@ Registry::snapshot(bool include_wallclock) const
     return os.str();
 }
 
-void
-Registry::writeJson(std::ostream &os, bool include_wallclock) const
+Json
+Registry::toJson(bool include_wallclock) const
 {
-    os << "{";
-    bool first = true;
+    Json out = Json::object();
     collect(include_wallclock,
-            [&](const std::string &name, double value,
-                bool integral) {
-                if (!first)
-                    os << ",";
-                first = false;
-                os << "\n    \"" << name << "\": ";
-                if (integral)
-                    os << std::uint64_t(value);
-                else if (std::isfinite(value))
-                    os << formatDouble(value);
-                else
-                    os << "null";
+            [&out](const std::string &name, double value,
+                   bool integral) {
+                out.set(name, integral ? Json(std::uint64_t(value))
+                                       : Json(value));
             });
-    os << "\n  }";
+    return out;
 }
 
 void
@@ -299,12 +290,6 @@ std::string
 metricsSnapshot(bool include_wallclock)
 {
     return metrics::Registry::global().snapshot(include_wallclock);
-}
-
-void
-metricsWriteJson(std::ostream &os, bool include_wallclock)
-{
-    metrics::Registry::global().writeJson(os, include_wallclock);
 }
 
 } // namespace quest::sim

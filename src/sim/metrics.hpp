@@ -31,9 +31,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
+
+#include "json.hpp"
 
 namespace quest::sim {
 
@@ -204,8 +205,7 @@ class Registry
      * .count/.sum/.mean/.min/.max/.p50/.p99 subkeys (percentile
      * keys are omitted while a histogram is empty).
      */
-    void writeJson(std::ostream &os,
-                   bool include_wallclock = true) const;
+    Json toJson(bool include_wallclock) const;
 
     /** Zero every metric; registrations and attachments persist. */
     void reset();
@@ -256,10 +256,6 @@ class ScopedGroupAttach
 
 /** Deterministic snapshot of the global registry (stable metrics). */
 std::string metricsSnapshot(bool include_wallclock = false);
-
-/** JSON dump of the global registry (everything by default). */
-void metricsWriteJson(std::ostream &os,
-                      bool include_wallclock = true);
 
 } // namespace quest::sim
 

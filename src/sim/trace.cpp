@@ -97,26 +97,28 @@ Tracer::instant(const char *category, const char *name)
     localBuffer().push(category, name, now, 0);
 }
 
-void
-Tracer::exportChromeTrace(std::ostream &os) const
+Json
+Tracer::chromeTrace() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    os << "{\"traceEvents\":[";
-    bool first = true;
+    Json events = Json::array();
     for (const auto &buffer : _buffers) {
         buffer->visitResident([&](const TraceEvent &e) {
-            if (!first)
-                os << ",";
-            first = false;
             // Chrome-trace timestamps are microseconds.
-            os << "\n{\"name\":\"" << e.name << "\",\"cat\":\""
-               << e.category << "\",\"ph\":\"X\",\"ts\":"
-               << double(e.startNs) / 1e3 << ",\"dur\":"
-               << double(e.durationNs) / 1e3
-               << ",\"pid\":0,\"tid\":" << buffer->tid() << "}";
+            Json event = Json::object();
+            event.set("name", e.name)
+                .set("cat", e.category)
+                .set("ph", "X")
+                .set("ts", double(e.startNs) / 1e3)
+                .set("dur", double(e.durationNs) / 1e3)
+                .set("pid", 0)
+                .set("tid", buffer->tid());
+            events.push(std::move(event));
         });
     }
-    os << "\n]}\n";
+    Json trace = Json::object();
+    trace.set("traceEvents", std::move(events));
+    return trace;
 }
 
 std::map<std::string, std::uint64_t>

@@ -41,10 +41,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "json.hpp"
 
 namespace quest::sim {
 
@@ -146,10 +147,11 @@ class Tracer
     void instant(const char *category, const char *name);
 
     /**
-     * Write everything recorded so far as Chrome-trace JSON.
-     * Call while no traced work is in flight.
+     * Everything recorded so far as a Chrome-trace document
+     * (timestamps in microseconds). Call while no traced work is in
+     * flight.
      */
-    void exportChromeTrace(std::ostream &os) const;
+    Json chromeTrace() const;
 
     /**
      * Aggregate fire counts keyed "category:name" across all
@@ -253,10 +255,10 @@ class Tracer
     std::size_t bufferCapacity() const { return 0; }
     void instant(const char *, const char *) {}
 
-    void
-    exportChromeTrace(std::ostream &os) const
+    Json
+    chromeTrace() const
     {
-        os << "{\"traceEvents\":[]}\n";
+        return Json::object().set("traceEvents", Json::array());
     }
 
     std::map<std::string, std::uint64_t> eventCounts() const

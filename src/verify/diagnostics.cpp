@@ -1,7 +1,6 @@
 #include "diagnostics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "sim/logging.hpp"
@@ -104,78 +103,29 @@ Report::merge(const Report &other)
             _passes.push_back(p);
 }
 
-namespace {
-
-/** Minimal JSON string escape (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
+sim::Json
+Report::toJson() const
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    sim::Json passes = sim::Json::array();
+    for (const std::string &p : _passes)
+        passes.push(p);
+    sim::Json diagnostics = sim::Json::array();
+    for (const Diagnostic &d : _diagnostics)
+        diagnostics.push(sim::Json::object()
+                             .set("code", d.code)
+                             .set("severity", severityName(d.severity))
+                             .set("artifact", d.site.artifact)
+                             .set("sub_cycle", d.site.subCycle)
+                             .set("qubit", d.site.qubit)
+                             .set("index", d.site.index)
+                             .set("message", d.message));
+    sim::Json out = sim::Json::object();
+    out.set("ok", ok())
+        .set("errors", errorCount())
+        .set("warnings", warningCount())
+        .set("passes", std::move(passes))
+        .set("diagnostics", std::move(diagnostics));
     return out;
-}
-
-std::string
-pad(int indent)
-{
-    return std::string(std::size_t(indent), ' ');
-}
-
-} // namespace
-
-void
-Report::writeJson(std::ostream &os, int indent,
-                  const std::string &extraSections) const
-{
-    const std::string p0 = pad(indent);
-    const std::string p1 = pad(indent + 2);
-    const std::string p2 = pad(indent + 4);
-
-    os << p0 << "{\n";
-    os << p1 << "\"ok\": " << (ok() ? "true" : "false") << ",\n";
-    os << p1 << "\"errors\": " << errorCount() << ",\n";
-    os << p1 << "\"warnings\": " << warningCount() << ",\n";
-
-    os << p1 << "\"passes\": [";
-    for (std::size_t i = 0; i < _passes.size(); ++i)
-        os << (i ? ", " : "") << '"' << jsonEscape(_passes[i]) << '"';
-    os << "],\n";
-
-    os << p1 << "\"diagnostics\": [";
-    for (std::size_t i = 0; i < _diagnostics.size(); ++i) {
-        const Diagnostic &d = _diagnostics[i];
-        os << (i ? "," : "") << "\n" << p2 << "{"
-           << "\"code\": \"" << jsonEscape(d.code) << "\", "
-           << "\"severity\": \"" << severityName(d.severity) << "\", "
-           << "\"artifact\": \"" << jsonEscape(d.site.artifact)
-           << "\", "
-           << "\"sub_cycle\": " << d.site.subCycle << ", "
-           << "\"qubit\": " << d.site.qubit << ", "
-           << "\"index\": " << d.site.index << ", "
-           << "\"message\": \"" << jsonEscape(d.message) << "\"}";
-    }
-    if (!_diagnostics.empty())
-        os << "\n" << p1;
-    os << "]";
-    if (!extraSections.empty())
-        os << ",\n" << p1 << extraSections;
-    os << "\n" << p0 << "}";
 }
 
 std::string

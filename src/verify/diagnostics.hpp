@@ -25,9 +25,10 @@
 #define QUEST_VERIFY_DIAGNOSTICS_HPP
 
 #include <cstddef>
-#include <ostream>
 #include <string>
 #include <vector>
+
+#include "sim/json.hpp"
 
 namespace quest::verify {
 
@@ -175,14 +176,9 @@ class Report
      * Machine-readable form:
      *   { "ok": bool, "errors": n, "warnings": n,
      *     "passes": [...], "diagnostics": [ {code, severity,
-     *     message, artifact, sub_cycle, qubit, index}, ... ] }
-     *
-     * `extraSections` is spliced verbatim (already-serialized
-     * `"key": value` pairs) after "diagnostics" — how the CLI
-     * attaches its "timing" section to the same document.
+     *     artifact, sub_cycle, qubit, index, message}, ... ] }
      */
-    void writeJson(std::ostream &os, int indent = 0,
-                   const std::string &extraSections = "") const;
+    sim::Json toJson() const;
 
     /** Human-readable multi-line summary. */
     std::string toString() const;

@@ -17,7 +17,6 @@
 
 #include <sys/socket.h>
 
-#include "fleet/json.hpp"
 #include "fleet/manager.hpp"
 #include "fleet/protocol.hpp"
 #include "fleet/sweep.hpp"
@@ -71,50 +70,6 @@ counterValue(const char *name)
     return sim::metrics::Registry::global()
         .counter(name, "", sim::metrics::Stability::Wallclock)
         .value();
-}
-
-// --- JSON -----------------------------------------------------------
-
-TEST(FleetJson, RoundTripsNestedValues)
-{
-    Json obj = Json::object();
-    obj.set("u", Json(std::uint64_t(0xFFFFFFFFFFFFFFFFull)));
-    obj.set("i", Json(std::int64_t(-42)));
-    obj.set("d", Json(0.1));
-    obj.set("s", Json("line\n\"quote\"\\"));
-    Json arr = Json::array();
-    arr.push(Json(true));
-    arr.push(Json());
-    arr.push(Json(std::uint64_t(7)));
-    obj.set("a", std::move(arr));
-
-    Json back;
-    ASSERT_TRUE(Json::parse(obj.dump(), back));
-    EXPECT_EQ(back.get("u").asU64(), 0xFFFFFFFFFFFFFFFFull);
-    EXPECT_EQ(back.get("i").asI64(), -42);
-    EXPECT_EQ(back.get("d").asDouble(), 0.1);
-    EXPECT_EQ(back.get("s").asString(), "line\n\"quote\"\\");
-    EXPECT_EQ(back.get("a").size(), 3u);
-    EXPECT_TRUE(back.get("a").at(0).asBool());
-    EXPECT_TRUE(back.get("a").at(1).isNull());
-    // Serialization is stable: dump(parse(dump(x))) == dump(x).
-    EXPECT_EQ(back.dump(), obj.dump());
-}
-
-TEST(FleetJson, RejectsMalformedInput)
-{
-    Json out;
-    EXPECT_FALSE(Json::parse("", out));
-    EXPECT_FALSE(Json::parse("{", out));
-    EXPECT_FALSE(Json::parse("{\"a\":}", out));
-    EXPECT_FALSE(Json::parse("[1,2,]", out));
-    EXPECT_FALSE(Json::parse("0x10", out));
-    EXPECT_FALSE(Json::parse("{} trailing", out));
-    EXPECT_FALSE(Json::parse("\"unterminated", out));
-    // Depth bomb: must fail parsing, not the stack.
-    EXPECT_FALSE(Json::parse(std::string(200, '[') + "1"
-                                 + std::string(200, ']'),
-                             out));
 }
 
 // --- Framing --------------------------------------------------------

@@ -9,12 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
 #include "qecc/extractor.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/json.hpp"
 #include "sim/metrics.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
@@ -38,6 +38,16 @@ class TracerTest : public ::testing::Test
 
     void TearDown() override { SetUp(); }
 };
+
+/** The exported trace, parsed back from its text form. */
+Json
+exportedTrace()
+{
+    Json doc;
+    EXPECT_TRUE(
+        Json::parse(Tracer::instance().chromeTrace().dump(), doc));
+    return doc;
+}
 
 #if QUEST_TRACE_ENABLED
 
@@ -153,12 +163,38 @@ TEST_F(TracerTest, ChromeExportIsWellFormed)
     }
     Tracer::instance().setEnabled(false);
 
-    std::ostringstream os;
-    Tracer::instance().exportChromeTrace(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"export_scope\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+    const Json doc = exportedTrace();
+    const Json &events = doc.get("traceEvents");
+    ASSERT_EQ(events.size(), 1u);
+    const Json &e = events.at(0);
+    EXPECT_EQ(e.get("name").asString(), "export_scope");
+    EXPECT_EQ(e.get("cat").asString(), "test");
+    EXPECT_EQ(e.get("ph").asString(), "X");
+    EXPECT_GE(e.get("dur").asDouble(), 0.0);
+    EXPECT_EQ(e.get("pid").asU64(), 0u);
+    EXPECT_TRUE(e.has("tid"));
+}
+
+TEST_F(TracerTest, ChromeExportKeepsNanosecondTimestamps)
+{
+    // Regression: ts was printed with 6 significant digits, so on a
+    // host up for hours every span shared one millisecond-rounded
+    // timestamp. Exported ts (microseconds) must locate the span
+    // inside the window read around it, to the nanosecond.
+    Tracer::instance().setEnabled(true);
+    const std::uint64_t before = Tracer::nowNs();
+    {
+        QUEST_TRACE_SCOPE("test", "timed_scope");
+    }
+    const std::uint64_t after = Tracer::nowNs();
+    Tracer::instance().setEnabled(false);
+
+    const Json doc = exportedTrace();
+    ASSERT_EQ(doc.get("traceEvents").size(), 1u);
+    const double ts_ns =
+        doc.get("traceEvents").at(0).get("ts").asDouble() * 1e3;
+    EXPECT_GE(ts_ns, double(before) - 1.0);
+    EXPECT_LE(ts_ns, double(after) + 1.0);
 }
 
 #endif // QUEST_TRACE_ENABLED
@@ -167,9 +203,9 @@ TEST_F(TracerTest, DisabledTracerExportsEmptyTrace)
 {
     // Holds in both build modes: a quiescent tracer produces a
     // loadable, empty Chrome trace and the canonical empty digest.
-    std::ostringstream os;
-    Tracer::instance().exportChromeTrace(os);
-    EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
+    const Json doc = exportedTrace();
+    EXPECT_EQ(doc.get("traceEvents").type(), Json::Type::Array);
+    EXPECT_EQ(doc.get("traceEvents").size(), 0u);
     EXPECT_EQ(Tracer::instance().countDigest(), emptyTraceDigest);
     EXPECT_EQ(Tracer::instance().droppedEvents(), 0u);
 }
@@ -277,22 +313,23 @@ TEST(MetricsRegistry, JsonIsWellFormedAndExpandsHistograms)
     h.record(5);
     h.record(9);
 
-    std::ostringstream os;
-    metricsWriteJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"test.json.hist.count\": 2"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"test.json.hist.p50\""),
-              std::string::npos);
+    Json doc;
+    ASSERT_TRUE(Json::parse(reg.toJson(true).dump(), doc));
+    EXPECT_EQ(doc.get("test.json.hist.count").type(), Json::Type::Uint);
+    EXPECT_EQ(doc.get("test.json.hist.count").asU64(), 2u);
+    EXPECT_EQ(doc.get("test.json.hist.sum").asU64(), 14u);
+    EXPECT_EQ(doc.get("test.json.hist.min").asU64(), 5u);
+    EXPECT_EQ(doc.get("test.json.hist.max").asU64(), 9u);
+    EXPECT_DOUBLE_EQ(doc.get("test.json.hist.mean").asDouble(), 7.0);
+    EXPECT_TRUE(doc.get("test.json.hist.p50").isNumber());
+    EXPECT_TRUE(doc.get("test.json.hist.p99").isNumber());
 
     // Empty histograms omit percentile keys rather than emit NaN.
     h.reset();
-    std::ostringstream os2;
-    metricsWriteJson(os2);
-    EXPECT_EQ(os2.str().find("test.json.hist.p50"),
-              std::string::npos);
-    EXPECT_NE(os2.str().find("\"test.json.hist.count\": 0"),
-              std::string::npos);
+    ASSERT_TRUE(Json::parse(reg.toJson(true).dump(), doc));
+    EXPECT_FALSE(doc.has("test.json.hist.p50"));
+    EXPECT_FALSE(doc.has("test.json.hist.p99"));
+    EXPECT_EQ(doc.get("test.json.hist.count").asU64(), 0u);
 }
 
 TEST(MetricsRegistry, AbsorbsAttachedStatGroups)

@@ -23,6 +23,7 @@
 
 #include "core/mce.hpp"
 #include "qecc/protocol.hpp"
+#include "sim/json.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "verify/program.hpp"
@@ -33,6 +34,7 @@ namespace quest {
 namespace {
 
 using isa::PhysOpcode;
+using sim::Json;
 using verify::Report;
 using verify::TileBundle;
 
@@ -410,14 +412,38 @@ TEST(VerifyReport, JsonCarriesDiagnosticsAndPasses)
     bundle.artifacts.fifo.stream.pop_back();
     const Report report = verify::Verifier().run(bundle.artifacts);
 
-    std::ostringstream os;
-    report.writeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"ok\": false"), std::string::npos);
-    EXPECT_NE(json.find(verify::codes::fifoLength),
-              std::string::npos);
-    EXPECT_NE(json.find("\"equivalence\""), std::string::npos);
-    EXPECT_NE(json.find("\"artifact\""), std::string::npos);
+    sim::Json doc;
+    ASSERT_TRUE(sim::Json::parse(report.toJson().dump(), doc));
+    EXPECT_FALSE(doc.get("ok").asBool());
+    EXPECT_EQ(doc.get("errors").asU64(), report.errorCount());
+    EXPECT_EQ(doc.get("warnings").asU64(), report.warningCount());
+
+    const Json &passes = doc.get("passes");
+    ASSERT_EQ(passes.size(), report.passesRun().size());
+    bool saw_equivalence = false;
+    for (std::size_t i = 0; i < passes.size(); ++i) {
+        EXPECT_EQ(passes.at(i).asString(), report.passesRun()[i]);
+        saw_equivalence |= passes.at(i).asString() == "equivalence";
+    }
+    EXPECT_TRUE(saw_equivalence);
+
+    const Json &diags = doc.get("diagnostics");
+    ASSERT_EQ(diags.size(), report.diagnostics().size());
+    bool saw_fifo_length = false;
+    for (std::size_t i = 0; i < diags.size(); ++i) {
+        const verify::Diagnostic &d = report.diagnostics()[i];
+        const Json &j = diags.at(i);
+        EXPECT_EQ(j.get("code").asString(), d.code);
+        EXPECT_EQ(j.get("severity").asString(),
+                  verify::severityName(d.severity));
+        EXPECT_EQ(j.get("artifact").asString(), d.site.artifact);
+        EXPECT_EQ(j.get("sub_cycle").asI64(), d.site.subCycle);
+        EXPECT_EQ(j.get("qubit").asI64(), d.site.qubit);
+        EXPECT_EQ(j.get("index").asI64(), d.site.index);
+        EXPECT_EQ(j.get("message").asString(), d.message);
+        saw_fifo_length |= d.code == verify::codes::fifoLength;
+    }
+    EXPECT_TRUE(saw_fifo_length);
 }
 
 TEST(VerifyReport, MergeDeduplicatesPassesAcrossRuns)

@@ -32,9 +32,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,9 +61,10 @@ using namespace quest;
 
 /** Usage error on one flag: message naming it, exit status 2. */
 [[noreturn]] void
-flagError(const std::string &flag, const char *what)
+flagError(const std::string &flag, const std::string &what)
 {
-    std::fprintf(stderr, "quest: --%s %s\n", flag.c_str(), what);
+    std::fprintf(stderr, "quest: --%s %s\n", flag.c_str(),
+                 what.c_str());
     std::exit(2);
 }
 
@@ -84,6 +85,13 @@ parseDouble(const std::string &text, double &out)
     errno = 0;
     out = std::strtod(text.c_str(), &end);
     return !text.empty() && *end == '\0' && errno != ERANGE;
+}
+
+/** A surface-code distance: odd and in [3, 63]. */
+bool
+validDistance(long d)
+{
+    return d >= 3 && d <= 63 && d % 2 == 1;
 }
 
 /**
@@ -152,9 +160,48 @@ class Options
         return v;
     }
 
+    /** getInt() that must lie in [lo, hi]. */
+    long
+    getInt(const std::string &key, long fallback, long lo,
+           long hi = std::numeric_limits<long>::max()) const
+    {
+        const long v = getInt(key, fallback);
+        if (v < lo || v > hi)
+            flagError(key, hi == std::numeric_limits<long>::max()
+                               ? "must be at least " + std::to_string(lo)
+                               : "must be in [" + std::to_string(lo)
+                                   + ", " + std::to_string(hi) + "]");
+        return v;
+    }
+
+    /** getDouble() that must lie in [lo, hi] (NaN never does). */
+    double
+    getDouble(const std::string &key, double fallback, double lo,
+              double hi) const
+    {
+        const double v = getDouble(key, fallback);
+        if (!(v >= lo && v <= hi)) {
+            char what[64];
+            std::snprintf(what, sizeof(what), "must be in [%g, %g]",
+                          lo, hi);
+            flagError(key, what);
+        }
+        return v;
+    }
+
   private:
     std::map<std::string, std::string> _values;
 };
+
+/** --distance, which must pass validDistance(). */
+std::size_t
+getDistance(const Options &opts, long fallback)
+{
+    const long d = opts.getInt("distance", fallback);
+    if (!validDistance(d))
+        flagError("distance", "must be odd and in [3, 63]");
+    return std::size_t(d);
+}
 
 tech::Technology
 parseTechnology(const std::string &name)
@@ -273,24 +320,15 @@ cmdMicrocode(const Options &opts)
 int
 cmdTraceGen(const Options &opts)
 {
-    const long instructions = opts.getInt("instructions", 10000);
-    if (instructions < 1)
-        flagError("instructions", "must be at least 1");
+    isa::TraceGenConfig cfg;
+    cfg.numInstructions =
+        std::size_t(opts.getInt("instructions", 10000, 1));
     // The generator needs two logical qubits, and an operand field
     // holds qubit ids up to maxLogicalOperand (4095).
-    const long qubits = opts.getInt("qubits", 16);
-    if (qubits < 2 || qubits > long(isa::maxLogicalOperand) + 1)
-        flagError("qubits", "must be in [2, 4096]");
-    const long seed = opts.getInt("seed", 1);
-    if (seed < 0)
-        flagError("seed", "must be non-negative");
-    isa::TraceGenConfig cfg;
-    cfg.numInstructions = std::size_t(instructions);
-    cfg.logicalQubits = std::size_t(qubits);
-    cfg.seed = std::uint64_t(seed);
-    cfg.maskFraction = opts.getDouble("mask-fraction", 0.0);
-    if (!(cfg.maskFraction >= 0.0 && cfg.maskFraction <= 1.0))
-        flagError("mask-fraction", "must be in [0, 1]");
+    cfg.logicalQubits = std::size_t(opts.getInt(
+        "qubits", 16, 2, long(isa::maxLogicalOperand) + 1));
+    cfg.seed = std::uint64_t(opts.getInt("seed", 1, 0));
+    cfg.maskFraction = opts.getDouble("mask-fraction", 0.0, 0.0, 1.0);
     if (cfg.tFraction + cfg.cnotFraction + cfg.maskFraction > 1.0) {
         char what[96];
         std::snprintf(what, sizeof(what),
@@ -314,18 +352,25 @@ int
 cmdReplay(const Options &opts)
 {
     const std::string path = opts.get("trace", "trace.qtrace");
-    const auto mces = std::size_t(opts.getInt("mces", 4));
-    const auto rounds = std::size_t(opts.getInt("rounds", 1024));
+    // One logical qubit per MCE, and operands address at most
+    // maxLogicalOperand + 1 of them.
+    const auto mces = std::size_t(
+        opts.getInt("mces", 4, 1, long(isa::maxLogicalOperand) + 1));
+    const auto rounds = std::size_t(opts.getInt("rounds", 1024, 1));
+    const double error_rate =
+        opts.getDouble("error-rate", 1e-4, 0.0, 1.0);
+    const double fault_rate =
+        opts.getDouble("fault-rate", 0.0, 0.0, 1.0);
+    const auto fault_seed =
+        std::uint64_t(opts.getInt("fault-seed", 0x5EEDFAB5, 0));
 
     const isa::LogicalTrace trace = isa::LogicalTrace::loadBinary(path);
 
     core::MasterConfig cfg;
     cfg.numMces = mces;
-    cfg.mce = core::tileConfigForLogicalQubits(
-        std::size_t(opts.getInt("distance", 3)));
-    cfg.mce.errorRates = quantum::ErrorRates{
-        opts.getDouble("error-rate", 1e-4), 0, 0, 0,
-        opts.getDouble("error-rate", 1e-4)};
+    cfg.mce = core::tileConfigForLogicalQubits(getDistance(opts, 3));
+    cfg.mce.errorRates =
+        quantum::ErrorRates{error_rate, 0, 0, 0, error_rate};
 
     // Classical fault model: a uniform per-site rate switches on the
     // whole resilience stack (ARQ retries, scrubbing, watchdog,
@@ -337,11 +382,8 @@ cmdReplay(const Options &opts)
         cfg.mce.verifyOnLoad = true;
     }
 
-    const double fault_rate = opts.getDouble("fault-rate", 0.0);
     if (fault_rate > 0.0) {
-        cfg.faults = sim::FaultConfig::uniform(
-            fault_rate,
-            std::uint64_t(opts.getInt("fault-seed", 0x5EEDFAB5)));
+        cfg.faults = sim::FaultConfig::uniform(fault_rate, fault_seed);
         cfg.scrubIntervalRounds = 64;
         cfg.heartbeatIntervalRounds = 16;
         cfg.modelDecodeDeadline = true;
@@ -361,28 +403,15 @@ cmdReplay(const Options &opts)
 int
 cmdSimulate(const Options &opts)
 {
-    const long d = opts.getInt("distance", 5);
-    if (d < 3 || d > 63 || d % 2 == 0)
-        flagError("distance", "must be odd and in [3, 63]");
-    const double p = opts.getDouble("error-rate", 1e-3);
-    if (!(p >= 0.0 && p <= 1.0))
-        flagError("error-rate", "must be in [0, 1]");
-    const long trials = opts.getInt("trials", 2000);
-    if (trials < 1)
-        flagError("trials", "must be at least 1");
-    const long seed = opts.getInt("seed", 1);
-    if (seed < 0)
-        flagError("seed", "must be non-negative");
+    const std::size_t d = getDistance(opts, 5);
+    const double p = opts.getDouble("error-rate", 1e-3, 0.0, 1.0);
+    const long trials = opts.getInt("trials", 2000, 1);
+    const long seed = opts.getInt("seed", 1, 0);
     // --stream-window N decodes each shot through the streaming
     // sliding-window decoder instead of the offline pipeline;
     // --stream-stride M sets the commit distance (default N/2).
-    const long window = opts.getInt("stream-window", 0);
-    const long stride = opts.getInt("stream-stride", 0);
-    if (window < 0)
-        flagError("stream-window", "must be non-negative");
-    if (stride < 0 || stride > window)
-        flagError("stream-stride",
-                  "must be non-negative and at most --stream-window");
+    const long window = opts.getInt("stream-window", 0, 0);
+    const long stride = opts.getInt("stream-stride", 0, 0, window);
 
     decode::MemoryRun run;
     run.errorRate = p;
@@ -396,7 +425,7 @@ cmdSimulate(const Options &opts)
         run.stream = cfg;
     }
     decode::MemoryExperiment exp(
-        parseProtocol(opts.get("protocol", "Steane")), std::size_t(d));
+        parseProtocol(opts.get("protocol", "Steane")), d);
     const decode::MemoryTally tally =
         exp.run(run, 0, std::uint64_t(trials));
 
@@ -420,7 +449,7 @@ cmdSimulate(const Options &opts)
             "rounds decoding ran behind extraction, per pushed "
             "round");
         std::printf(
-            "d=%ld p=%g trials=%ld window=%zu stride=%zu "
+            "d=%zu p=%g trials=%ld window=%zu stride=%zu "
             "logical_error_rate=%.3e lag_p50=%.0f lag_p99=%.0f %s\n",
             d, p, trials, run.stream->windowRounds,
             run.stream->strideRounds, ler, lag.percentile(0.5),
@@ -429,7 +458,7 @@ cmdSimulate(const Options &opts)
     }
     const double local = count("decode.pipeline.events_local");
     const double events = local + count("decode.pipeline.events_global");
-    std::printf("d=%ld p=%g trials=%ld logical_error_rate=%.3e "
+    std::printf("d=%zu p=%g trials=%ld logical_error_rate=%.3e "
                 "lut_coverage=%.1f%% %s\n",
                 d, p, trials, ler,
                 events > 0 ? local / events * 100.0 : 0.0, tail);
@@ -447,6 +476,8 @@ struct TimingRow
     verify::TimingBound bound;
     std::size_t observedCycles = 0;
     std::size_t deadlineCycles = 0; // budget over all rounds
+    double ratio = 0.0; // bound / observed; 0 when nothing observed
+    long slackCycles = 0; // deadline - bound
     bool sound = false;
     bool tight = false;
 };
@@ -513,6 +544,11 @@ runTimingDifferential(const core::MceConfig &cfg,
                 std::max(row.observedCycles, t.cycles.size());
     }
 
+    if (row.observedCycles)
+        row.ratio = double(row.bound.totalBoundCycles)
+            / double(row.observedCycles);
+    row.slackCycles =
+        long(row.deadlineCycles) - long(row.bound.totalBoundCycles);
     row.sound = row.bound.totalBoundCycles >= row.observedCycles;
     row.tight = tiles > 1
         || double(row.bound.totalBoundCycles)
@@ -520,50 +556,49 @@ runTimingDifferential(const core::MceConfig &cfg,
     return row;
 }
 
-/** Serialize the --timing rows as the JSON "timing" section. */
-std::string
-timingJsonSection(const std::vector<TimingRow> &rows)
+/** The --timing rows as the JSON "timing" section. */
+sim::Json
+timingJson(const std::vector<TimingRow> &rows)
 {
-    std::ostringstream os;
-    os << "\"timing\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const TimingRow &r = rows[i];
-        os << (i ? "," : "") << "\n    {"
-           << "\"protocol\": \"" << r.protocol << "\", "
-           << "\"design\": \"" << r.design << "\", "
-           << "\"mode\": \"" << r.mode << "\", "
-           << "\"tiles\": " << r.tiles << ", "
-           << "\"rounds\": " << r.rounds << ", "
-           << "\"critical_path_cycles\": "
-           << r.bound.criticalPathCycles << ", "
-           << "\"width_bound_cycles\": "
-           << r.bound.widthBoundCycles << ", "
-           << "\"bound_cycles\": " << r.bound.totalBoundCycles
-           << ", "
-           << "\"observed_cycles\": " << r.observedCycles << ", "
-           << "\"ratio\": "
-           << (r.observedCycles
-                   ? double(r.bound.totalBoundCycles)
-                       / double(r.observedCycles)
-                   : 0.0)
-           << ", "
-           << "\"deadline_cycles\": " << r.deadlineCycles << ", "
-           << "\"slack_cycles\": "
-           << (long(r.deadlineCycles)
-               - long(r.bound.totalBoundCycles))
-           << ", "
-           << "\"sound\": " << (r.sound ? "true" : "false") << ", "
-           << "\"tight\": " << (r.tight ? "true" : "false") << "}";
-    }
-    if (!rows.empty())
-        os << "\n  ";
-    os << "]";
-    return os.str();
+    sim::Json out = sim::Json::array();
+    for (const TimingRow &r : rows)
+        out.push(sim::Json::object()
+                     .set("protocol", r.protocol)
+                     .set("design", r.design)
+                     .set("mode", r.mode)
+                     .set("tiles", r.tiles)
+                     .set("rounds", r.rounds)
+                     .set("critical_path_cycles",
+                          r.bound.criticalPathCycles)
+                     .set("width_bound_cycles", r.bound.widthBoundCycles)
+                     .set("bound_cycles", r.bound.totalBoundCycles)
+                     .set("observed_cycles", r.observedCycles)
+                     .set("ratio", r.ratio)
+                     .set("deadline_cycles", r.deadlineCycles)
+                     .set("slack_cycles", r.slackCycles)
+                     .set("sound", r.sound)
+                     .set("tight", r.tight));
+    return out;
 }
 
 int
 cmdVerify(const Options &opts)
 {
+    const std::size_t distance = getDistance(opts, 3);
+    const auto channels = std::size_t(opts.getInt("channels", 4, 1));
+    const auto bank_bits =
+        std::size_t(opts.getInt("bank-bits", 1024, 1));
+    const auto icache = std::size_t(opts.getInt("icache", 1024, 0));
+    // 0 skips the rotation-synthesis check.
+    const double epsilon = opts.getDouble("epsilon", 0.0);
+    if (!(epsilon >= 0.0 && epsilon < 1.0))
+        flagError("epsilon", "must be in [0, 1)");
+
+    const bool timing = opts.has("timing");
+    const auto timingTiles = std::size_t(opts.getInt("tiles", 1, 1));
+    const auto timingRounds = std::size_t(opts.getInt("rounds", 1, 1));
+    std::vector<TimingRow> timingRows;
+
     std::vector<qecc::Protocol> protocols;
     if (opts.has("protocol"))
         protocols.push_back(
@@ -584,34 +619,25 @@ cmdVerify(const Options &opts)
         trace = isa::LogicalTrace::loadBinary(
             opts.get("trace", "trace.qtrace"));
 
-    const bool timing = opts.has("timing");
-    const auto timingTiles = std::size_t(opts.getInt("tiles", 1));
-    const auto timingRounds = std::size_t(opts.getInt("rounds", 1));
-    std::vector<TimingRow> timingRows;
-
     verify::Report combined;
     for (const qecc::Protocol p : protocols) {
         for (const core::MicrocodeDesign d : designs) {
             core::MceConfig cfg;
-            cfg.distance = std::size_t(opts.getInt("distance", 3));
+            cfg.distance = distance;
             cfg.protocol = p;
             cfg.technology =
                 parseTechnology(opts.get("tech", "ProjectedD"));
             cfg.microcodeDesign = d;
-            cfg.memoryConfig.channels =
-                std::size_t(opts.getInt("channels", 4));
-            cfg.memoryConfig.bankBits =
-                std::size_t(opts.getInt("bank-bits", 1024));
-            cfg.icacheCapacity =
-                std::size_t(opts.getInt("icache", 1024));
+            cfg.memoryConfig.channels = channels;
+            cfg.memoryConfig.bankBits = bank_bits;
+            cfg.icacheCapacity = icache;
 
             const std::string label = qecc::protocolName(p) + "/"
                 + core::microcodeDesignName(d);
             verify::TileBundle bundle =
                 verify::buildTileBundle(cfg, label);
             bundle.artifacts.trace = trace;
-            bundle.artifacts.rotationEpsilon =
-                opts.getDouble("epsilon", 0.0);
+            bundle.artifacts.rotationEpsilon = epsilon;
             if (timing) {
                 bundle.artifacts.timing.rounds = timingRounds;
                 bundle.artifacts.timing.contentionTiles =
@@ -639,11 +665,7 @@ cmdVerify(const Options &opts)
                        "observed", "ratio", "deadline", "slack" });
         for (const TimingRow &r : timingRows) {
             char ratio[32];
-            std::snprintf(ratio, sizeof(ratio), "%.3f",
-                          r.observedCycles
-                              ? double(r.bound.totalBoundCycles)
-                                  / double(r.observedCycles)
-                              : 0.0);
+            std::snprintf(ratio, sizeof(ratio), "%.3f", r.ratio);
             table.row({
                 r.protocol + "/" + r.design,
                 r.mode,
@@ -653,8 +675,7 @@ cmdVerify(const Options &opts)
                 std::to_string(r.observedCycles),
                 ratio,
                 std::to_string(r.deadlineCycles),
-                std::to_string(long(r.deadlineCycles)
-                               - long(r.bound.totalBoundCycles)),
+                std::to_string(r.slackCycles),
             });
             if (!r.sound) {
                 timingGatesPass = false;
@@ -682,13 +703,14 @@ cmdVerify(const Options &opts)
 
     if (opts.has("json")) {
         const std::string path = opts.get("json", "verify.json");
+        sim::Json doc = combined.toJson();
+        if (timing)
+            doc.set("timing", timingJson(timingRows));
         std::ofstream os(path);
         if (!os)
             sim::fatal("cannot write diagnostics to %s",
                        path.c_str());
-        combined.writeJson(os, 0,
-                           timing ? timingJsonSection(timingRows)
-                                  : std::string());
+        os << doc.dump() << "\n";
         std::fprintf(stderr, "wrote diagnostics to %s\n",
                      path.c_str());
     }
@@ -733,7 +755,7 @@ sweepSpecFromFlags(const Options &opts)
     for (const std::string &text :
          splitList(opts.get("distances", "3,5"))) {
         long d = 0;
-        if (!parseLong(text, d) || d < 3 || d > 63 || d % 2 == 0)
+        if (!parseLong(text, d) || !validDistance(d))
             flagError("distances", distances_usage);
         spec.distances.push_back(std::size_t(d));
     }
@@ -751,14 +773,8 @@ sweepSpecFromFlags(const Options &opts)
     }
     if (spec.errorRates.empty())
         flagError("error-rates", rates_usage);
-    const long trials = opts.getInt("trials", 256);
-    if (trials < 1)
-        flagError("trials", "must be at least 1");
-    const long grain = opts.getInt("grain", 64);
-    if (grain < 1)
-        flagError("grain", "must be at least 1");
-    spec.trialsPerPoint = std::uint64_t(trials);
-    spec.grain = std::uint64_t(grain);
+    spec.trialsPerPoint = std::uint64_t(opts.getInt("trials", 256, 1));
+    spec.grain = std::uint64_t(opts.getInt("grain", 64, 1));
     spec.seed = std::uint64_t(opts.getInt("seed", 1));
     QUEST_ASSERT(spec.valid(), "flag checks admitted an invalid grid");
     return spec;
@@ -989,7 +1005,7 @@ writeObservabilityOutputs(const Options &opts)
                 std::fprintf(stderr,
                              "note: built with QUEST_TRACE=OFF; %s "
                              "will be empty\n", path.c_str());
-            sim::Tracer::instance().exportChromeTrace(os);
+            os << sim::Tracer::instance().chromeTrace().dump() << "\n";
             std::fprintf(stderr, "wrote trace to %s\n", path.c_str());
         }
     }
@@ -1001,7 +1017,10 @@ writeObservabilityOutputs(const Options &opts)
             std::fprintf(stderr, "cannot write metrics to %s\n",
                          path.c_str());
         } else {
-            sim::metricsWriteJson(os, opts.has("metrics-wallclock"));
+            os << sim::metrics::Registry::global()
+                      .toJson(opts.has("metrics-wallclock"))
+                      .dump()
+               << "\n";
             std::fprintf(stderr, "wrote metrics to %s\n",
                          path.c_str());
         }
