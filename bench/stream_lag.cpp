@@ -177,7 +177,7 @@ constructUs(const qecc::SyndromeExtractor &extractor,
 struct ConstructBench
 {
     std::size_t distance = 0;
-    double streamingDecoderUs = 0.0;
+    double streamerUs = 0.0;
 };
 
 } // namespace
@@ -371,7 +371,7 @@ main(int argc, char **argv)
                     mb.parity ? "ok" : "DIVERGED");
     for (const ConstructBench &cb : constructs)
         std::printf("construct @d=%zu: StreamingDecoder %.2f us\n",
-                    cb.distance, cb.streamingDecoderUs);
+                    cb.distance, cb.streamerUs);
 
     sim::Json configs = sim::Json::array();
     for (const ConfigResult &r : results)
@@ -397,7 +397,7 @@ main(int argc, char **argv)
         construct.push(sim::Json::object()
                            .set("distance", cb.distance)
                            .set("streaming_decoder_us",
-                                cb.streamingDecoderUs));
+                                cb.streamerUs));
     bench::writeBenchJson(out_path,
                           sim::Json::object()
                               .set("bench", "stream_lag")

@@ -12,8 +12,10 @@
  */
 
 #include <cstdio>
+#include <optional>
 
 #include "core/mce.hpp"
+#include "decode/streaming.hpp"
 
 namespace {
 
@@ -62,8 +64,23 @@ main()
     status(mce, "after 2x define");
 
     // --- Keep QECC running under everything -----------------------
+    // Every round the example runs feeds the tile's decoder: the LUT
+    // stage plus global matching over non-overlapping d-round
+    // windows, as in the master controller.
+    decode::StreamingDecoder decoder(
+        mce.extractor(), {cfg.distance, cfg.distance, {}});
+    std::size_t residual_events = 0;
+    std::size_t lut_resolved = 0;
+    const auto record =
+        [&](const std::optional<decode::StreamCommit> &commit) {
+            if (!commit)
+                return;
+            residual_events += commit->forwardedEvents;
+            lut_resolved += commit->windowEvents - commit->forwardedEvents;
+            mce.applyCorrection(commit->correction);
+        };
     for (int r = 0; r < 50; ++r)
-        mce.runQeccRound();
+        record(decoder.pushRound(mce.runQeccRound()));
     status(mce, "after 50 QECC rounds");
 
     // --- Transverse instructions ----------------------------------
@@ -89,11 +106,14 @@ main()
     status(mce, "after braid CNOT");
 
     // --- Decode whatever the noise left behind --------------------
-    const auto residual_events = mce.collectResidualEvents();
+    // The braid's rounds ran inside the MCE; one more round,
+    // differenced against the last decoded one, catches every error
+    // they accumulated.
+    record(decoder.pushRound(mce.runQeccRound()));
+    record(decoder.finish());
     std::printf("\nresidual events for the global decoder: %zu "
-                "(LUT resolved %.0f locally)\n",
-                residual_events.total(),
-                mce.eventsResolvedLocally());
+                "(LUT resolved %zu locally)\n",
+                residual_events, lut_resolved);
     std::printf("undecoded error weight on protected qubits: %zu\n",
                 mce.residualErrorWeight());
     return 0;

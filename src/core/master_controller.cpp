@@ -1,7 +1,5 @@
 #include "master_controller.hpp"
 
-#include <algorithm>
-
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
@@ -20,31 +18,14 @@ networkConfigFor(const MasterConfig &cfg)
     return net;
 }
 
-decode::DeadlineConfig
-deadlineConfigFor(const MasterConfig &cfg)
-{
-    decode::DeadlineConfig dl;
-    if (!cfg.modelDecodeDeadline)
-        return dl; // windowTicks 0: deadline arithmetic disabled
-    const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
-    const auto lat = tech::gateLatencies(cfg.mce.technology);
-    const std::size_t window = cfg.decodeWindowRounds
-        ? cfg.decodeWindowRounds
-        : cfg.mce.distance;
-    dl.windowTicks = sim::Tick(window) * spec.roundDuration(lat);
-    return dl;
-}
-
 /**
- * Streaming deadline: the real-time budget for one window is the
+ * Decode deadline: the real-time budget for one window is the
  * wall-clock the stride's worth of rounds takes to extract -- the
- * decoder must keep up with the slide rate, exactly as the offline
- * decoder must keep up with its decode cadence. With
- * streamStrideRounds == decodeWindowRounds the two budgets coincide,
- * which the W==S equivalence test relies on.
+ * decoder must keep up with the slide rate. windowTicks 0 (no
+ * deadline model) disables the deadline arithmetic.
  */
 decode::DeadlineConfig
-streamDeadlineFor(const MasterConfig &cfg, std::size_t stride)
+deadlineFor(const MasterConfig &cfg, std::size_t stride)
 {
     decode::DeadlineConfig dl;
     if (!cfg.modelDecodeDeadline)
@@ -65,8 +46,9 @@ constexpr std::size_t scrubPollBytes = tech::logicalInstrBytes;
 
 MasterController::MasterController(const MasterConfig &cfg)
     : _cfg(cfg),
+      _extracted(cfg.numMces, nullptr),
+      _offCadence(cfg.numMces, 0),
       _faults(cfg.faults),
-      _deadline(deadlineConfigFor(cfg)),
       _missedHeartbeats(cfg.numMces, 0),
       _stats("master"),
       _network(networkConfigFor(cfg), _stats),
@@ -142,39 +124,22 @@ MasterController::MasterController(const MasterConfig &cfg)
         _mces.back()->attachFaults(&_faults);
         _stats.addChild(_mces.back()->stats());
     }
+    decode::StreamConfig sc;
+    sc.windowRounds = cfg.decodeWindowRounds ? cfg.decodeWindowRounds
+                                             : cfg.mce.distance;
+    sc.strideRounds = cfg.decodeStrideRounds ? cfg.decodeStrideRounds
+                                             : sc.windowRounds;
+    sc.deadline = deadlineFor(cfg, sc.strideRounds);
     for (const auto &m : _mces) {
-        _decoders.emplace_back(m->lattice());
-        _clusterDecoders.emplace_back(m->lattice());
-    }
-    // Defect awareness: masked regions are open boundaries for the
-    // global decoder.
-    for (std::size_t i = 0; i < _mces.size(); ++i) {
-        Mce *mce = _mces[i].get();
-        auto predicate = [mce](std::size_t q) {
+        _streamers.push_back(std::make_unique<decode::StreamingDecoder>(
+            m->extractor(), sc));
+        _streamers.back()->attachFaults(&_faults);
+        // Defect awareness: masked regions are open boundaries for
+        // the global decoder.
+        Mce *mce = m.get();
+        _streamers.back()->setMaskPredicate([mce](std::size_t q) {
             return mce->maskTable().masked(q);
-        };
-        _decoders[i].setMaskPredicate(predicate);
-        _clusterDecoders[i].setMaskPredicate(predicate);
-    }
-    if (streamingDecode()) {
-        decode::StreamConfig sc;
-        sc.windowRounds = _cfg.streamWindowRounds;
-        sc.strideRounds = streamStride();
-        sc.deadline = streamDeadlineFor(_cfg, sc.strideRounds);
-        for (std::size_t i = 0; i < _mces.size(); ++i) {
-            // The MCE stops accumulating its offline decode window:
-            // every extracted round is handed to the streamer
-            // instead, so nothing is double-decoded.
-            _mces[i]->setWindowBuffering(false);
-            _streamers.push_back(
-                std::make_unique<decode::StreamingDecoder>(
-                    _mces[i]->extractor(), sc));
-            Mce *mce = _mces[i].get();
-            _streamers.back()->setMaskPredicate(
-                [mce](std::size_t q) {
-                    return mce->maskTable().masked(q);
-                });
-        }
+        });
     }
     // Link-level retry counters, mirrored so the faults group is the
     // one-stop report a fault sweep reads.
@@ -209,21 +174,6 @@ MasterController::MasterController(const MasterConfig &cfg)
 MasterController::~MasterController()
 {
     sim::metrics::Registry::global().detachGroup(_stats);
-}
-
-std::size_t
-MasterController::decodeWindow() const
-{
-    return _cfg.decodeWindowRounds ? _cfg.decodeWindowRounds
-                                   : _cfg.mce.distance;
-}
-
-std::size_t
-MasterController::streamStride() const
-{
-    if (_cfg.streamStrideRounds)
-        return _cfg.streamStrideRounds;
-    return std::max<std::size_t>(1, _cfg.streamWindowRounds / 2);
 }
 
 void
@@ -414,11 +364,12 @@ MasterController::stepRound()
         const std::size_t before = m.roundsRun();
         const qecc::SyndromeRound &round = m.runQeccRound();
         // A wedged engine extracts nothing (roundsRun stalls); the
-        // stale round it returns must not enter the stream.
-        if (streamingDecode() && m.roundsRun() > before) {
-            if (auto commit = _streamers[i]->pushRound(round))
-                commitStream(i, *commit);
-        }
+        // stale round it returns must not enter the stream, and the
+        // tile's buffer falls behind the decode cadence.
+        if (m.roundsRun() > before)
+            _extracted[i] = &round;
+        else
+            _offCadence[i] = 1;
     }
     if (arbitrating())
         arbitrateRound();
@@ -430,10 +381,30 @@ MasterController::stepRound()
     if (_cfg.scrubIntervalRounds
         && _roundsRun % _cfg.scrubIntervalRounds == 0)
         scrubNow();
-    // Streaming windows commit on their own cadence inside
-    // pushRound; the offline collect-then-decode trigger stays off.
-    if (!streamingDecode() && _roundsSinceDecode >= decodeWindow())
-        decodeNow();
+    decodePoint();
+}
+
+void
+MasterController::decodePoint()
+{
+    // Rounds are pushed here rather than as they are extracted, so
+    // window decodes (and their injected-overrun draws) follow any
+    // quarantine flush of this round's heartbeat, and bus sends keep
+    // tile order.
+    const bool cadence = _roundsSinceDecode >= decodeStride();
+    for (std::size_t i = 0; i < _mces.size(); ++i) {
+        if (const qecc::SyndromeRound *round = _extracted[i]) {
+            _extracted[i] = nullptr;
+            if (auto commit = _streamers[i]->pushRound(*round))
+                commitStream(i, *commit);
+        }
+        // A tile that missed rounds holds a partial window that
+        // will never fill on cadence: decode it now.
+        if (cadence && _offCadence[i])
+            decodeTile(i);
+    }
+    if (cadence)
+        _roundsSinceDecode = 0;
 }
 
 void
@@ -469,6 +440,8 @@ MasterController::quarantineAndResync(std::size_t mce_idx)
     sendOnBus(mce_idx, m.microcodeStore().imageBytes(), _bytesScrub);
     m.recover();
     decodeTile(mce_idx);
+    // The flush restarts the tile's window mid-cadence.
+    _offCadence[mce_idx] = 1;
     ++_resumes;
 }
 
@@ -501,65 +474,28 @@ MasterController::commitStream(std::size_t mce_idx,
                       * decode::detectionEventBytes,
                   _bytesSyndrome);
     if (commit.fallback) {
+        // The exact matcher would miss the window: the streamer
+        // degraded it to the union-find cluster decoder; charge the
+        // lateness as stretched noise on the tile.
         ++_decoderOverruns;
         ++_decoderFallbacks;
-        _mces[mce_idx]->stretchNoise(commit.stretch, streamStride());
+        _mces[mce_idx]->stretchNoise(commit.stretch, decodeStride());
     }
-    if (commit.correction.weight() > 0)
-        sendOnBus(mce_idx,
-                  commit.correction.weight() * correctionEntryBytes,
+    // Only the global share crosses the bus: LUT corrections are
+    // resolved inside the MCE.
+    if (commit.globalWeight > 0)
+        sendOnBus(mce_idx, commit.globalWeight * correctionEntryBytes,
                   _bytesCorrections);
     _mces[mce_idx]->applyCorrection(commit.correction);
 }
 
 void
-MasterController::flushStreamTile(std::size_t mce_idx)
-{
-    QUEST_TRACE_SCOPE("master", "stream_flush");
-    if (auto commit = _streamers[mce_idx]->finish())
-        commitStream(mce_idx, *commit);
-}
-
-void
 MasterController::decodeTile(std::size_t mce_idx)
 {
-    if (streamingDecode()) {
-        flushStreamTile(mce_idx);
-        return;
-    }
     QUEST_TRACE_SCOPE("master", "decode_tile");
-    const decode::DetectionEvents residual =
-        _mces[mce_idx]->collectResidualEvents();
-    if (residual.total() == 0)
-        return;
-    sendOnBus(mce_idx, residual.total() * decode::detectionEventBytes,
-              _bytesSyndrome);
-
-    bool use_cluster =
-        _cfg.globalDecoder == GlobalDecoderKind::Cluster;
-    if (!use_cluster && _cfg.modelDecodeDeadline) {
-        const bool injected =
-            _faults.fire(sim::FaultSite::DecoderOverrun);
-        const bool analytic = _deadline.overruns(residual.total());
-        if (injected || analytic) {
-            // The exact matcher would miss the window: degrade to
-            // the union-find cluster decoder for this window, and
-            // charge the lateness as stretched noise on the tile.
-            ++_decoderOverruns;
-            ++_decoderFallbacks;
-            use_cluster = true;
-            _mces[mce_idx]->stretchNoise(
-                _deadline.stretch(residual.total()),
-                decodeWindow());
-        }
-    }
-    const decode::Correction corr = use_cluster
-        ? _clusterDecoders[mce_idx].decode(residual)
-        : _decoders[mce_idx].decode(residual);
-    if (corr.weight() > 0)
-        sendOnBus(mce_idx, corr.weight() * correctionEntryBytes,
-                  _bytesCorrections);
-    _mces[mce_idx]->applyCorrection(corr);
+    _offCadence[mce_idx] = 0;
+    if (auto commit = _streamers[mce_idx]->finish())
+        commitStream(mce_idx, *commit);
 }
 
 void

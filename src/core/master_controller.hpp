@@ -5,8 +5,9 @@
  * The master controller sits in the 77 K CMOS domain and
  * orchestrates all logical operations: it dispatches 2-byte logical
  * instructions to the owning MCE over the packet-switched global
- * bus, collects residual detection events from the MCEs' local
- * decoders, runs the global MWPM decode, and returns corrections.
+ * bus, decodes each tile's syndrome stream -- the MCE's local LUT
+ * stage and its own global matcher, both modelled by one
+ * decode::StreamingDecoder per tile -- and returns corrections.
  * Everything crossing the global bus is accounted by category so
  * the system model can reproduce the paper's bandwidth comparison.
  */
@@ -17,9 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "decode/cluster_decoder.hpp"
-#include "decode/mwpm_decoder.hpp"
-#include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
 #include "mce.hpp"
 #include "network.hpp"
@@ -27,34 +25,19 @@
 
 namespace quest::core {
 
-/** Which algorithm the master's global decoder runs. */
-enum class GlobalDecoderKind
-{
-    Mwpm,    ///< exact/greedy minimum-weight matching
-    Cluster, ///< union-find cluster decoder (real-time oriented)
-};
-
 /** Configuration of the whole control processor. */
 struct MasterConfig
 {
     std::size_t numMces = 4;
     MceConfig mce;
-    GlobalDecoderKind globalDecoder = GlobalDecoderKind::Mwpm;
-    /** QECC rounds between global decodes; 0 means one code
-     *  distance's worth (the standard decode cadence). */
+    /** Rounds per decode window of each tile's StreamingDecoder;
+     *  0 means one code distance's worth. */
     std::size_t decodeWindowRounds = 0;
 
-    /** Streaming sliding-window decode: when nonzero, the offline
-     *  collect-then-decode cadence is replaced by a per-tile
-     *  decode::StreamingDecoder that consumes every round as it is
-     *  extracted and commits overlapping windows of this many
-     *  rounds. 0 keeps the offline path bit-identical to before. */
-    std::size_t streamWindowRounds = 0;
-
-    /** Streaming commit/slide distance; 0 picks half the window
-     *  (minimum 1). streamStrideRounds == streamWindowRounds gives
-     *  non-overlapping windows, the offline cadence. */
-    std::size_t streamStrideRounds = 0;
+    /** Rounds between window commits (the slide); 0 means the
+     *  window, i.e. non-overlapping windows -- the collect-then-
+     *  decode cadence. Must not exceed the window. */
+    std::size_t decodeStrideRounds = 0;
 
     /** Global interconnect parameters (mceCount is overridden to
      *  numMces at construction). */
@@ -80,8 +63,9 @@ struct MasterConfig
     /** Missed heartbeats before a tile is quarantined/re-synced. */
     std::size_t watchdogMissThreshold = 2;
 
-    /** Model the global decoder's real-time deadline: an MWPM
-     *  decode that would overrun the window degrades to the
+    /** Model the global decoder's real-time deadline (stride x
+     *  round duration): an MWPM decode that would overrun it, or an
+     *  injected DecoderOverrun, degrades the window to the
      *  union-find cluster decoder and the tile's noise is stretched
      *  for the late window (host::delivery's inflation model). */
     bool modelDecodeDeadline = false;
@@ -164,8 +148,9 @@ class MasterController
                              qecc::Coord dst_anchor);
 
     /**
-     * Advance every MCE one QECC round; after each decode window,
-     * collect residual events, decode globally and send corrections.
+     * Advance every MCE one QECC round, then hand each extracted
+     * round to its tile's streaming decoder and send the corrections
+     * of every window that commits.
      */
     void stepRound();
 
@@ -177,18 +162,12 @@ class MasterController
             stepRound();
     }
 
-    /** Force a global decode immediately. In streaming mode this
-     *  flushes every tile's streaming decoder (an end-of-shot
-     *  barrier), committing all buffered rounds. */
+    /** Force a global decode immediately: flush every tile's
+     *  streaming decoder (an end-of-shot barrier), committing all
+     *  buffered rounds. */
     void decodeNow();
 
-    /** True when the streaming sliding-window decode path is on. */
-    bool streamingDecode() const
-    {
-        return _cfg.streamWindowRounds > 0;
-    }
-
-    /** Tile i's streaming decoder (streaming mode only). */
+    /** Tile i's streaming decoder. */
     const decode::StreamingDecoder &streamer(std::size_t i) const
     {
         return *_streamers.at(i);
@@ -221,10 +200,6 @@ class MasterController
 
     sim::FaultInjector &faultInjector() { return _faults; }
     sim::StatGroup &faultStats() { return _faultStats; }
-    const decode::DecodeDeadline &decodeDeadline() const
-    {
-        return _deadline;
-    }
 
     double seuInjected() const { return _seuInjected.value(); }
     double seuDetected() const { return _seuDetected.value(); }
@@ -285,16 +260,21 @@ class MasterController
   private:
     MasterConfig _cfg;
     std::vector<std::unique_ptr<Mce>> _mces;
-    std::vector<decode::MwpmDecoder> _decoders;
-    std::vector<decode::ClusterDecoder> _clusterDecoders;
-    /** Per-tile streaming decoders; empty in offline mode. */
+    /** Per-tile decoders: the MCE's LUT stage and the master's
+     *  global matcher of that tile. */
     std::vector<std::unique_ptr<decode::StreamingDecoder>> _streamers;
+    /** This step's extracted round per tile, awaiting the decode
+     *  point (null when the tile was wedged). */
+    std::vector<const qecc::SyndromeRound *> _extracted;
+    /** Tiles whose buffered rounds no longer line up with the decode
+     *  cadence (they missed rounds while wedged, or were flushed at
+     *  quarantine); flushed at the next decode point. */
+    std::vector<std::uint8_t> _offCadence;
 
     std::size_t _roundsRun = 0;
     std::size_t _roundsSinceDecode = 0;
 
     sim::FaultInjector _faults;
-    decode::DecodeDeadline _deadline;
     std::vector<std::size_t> _missedHeartbeats;
 
     /** Shared-bandwidth arbiter state (sharedFetchBandwidth > 0). */
@@ -330,17 +310,22 @@ class MasterController
     sim::Scalar &_busEscalations;
     sim::Scalar &_packetsAbandoned;
 
-    std::size_t decodeWindow() const;
+    /** Resolved commit/slide distance (the decode cadence). */
+    std::size_t decodeStride() const
+    {
+        return _streamers.front()->config().strideRounds;
+    }
 
-    /** Resolved streaming commit/slide distance. */
-    std::size_t streamStride() const;
-
-    /** Bus/fault accounting for one streaming window commit. */
+    /** Bus/fault accounting for one window commit. */
     void commitStream(std::size_t mce_idx,
                       const decode::StreamCommit &commit);
 
-    /** Flush tile i's streaming decoder (commit everything). */
-    void flushStreamTile(std::size_t mce_idx);
+    /**
+     * The decode point, after heartbeat and scrub: push each tile's
+     * extracted round, in tile order, and commit any window that
+     * fills; every stride rounds also flush off-cadence tiles.
+     */
+    void decodePoint();
 
     /**
      * Send one bus packet, charging `category`, with supervisor
@@ -355,7 +340,7 @@ class MasterController
     /** Run the shared-bandwidth arbiter over this round's tiles. */
     void arbitrateRound();
 
-    /** Collect, decode and correct one tile's residual window. */
+    /** Flush tile i's streaming decoder (commit everything). */
     void decodeTile(std::size_t mce_idx);
 
     /** Quarantine a wedged tile: re-sync microcode and resume. */

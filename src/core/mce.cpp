@@ -61,7 +61,6 @@ Mce::Mce(std::string name, const MceConfig &cfg)
       _mask(*_lattice, cfg.maskLayout, cfg.distance, _stats),
       _execUnit(_lattice->numQubits(), _stats),
       _icache(cfg.icacheCapacity, _stats),
-      _lutDecoder(*_lattice),
       _microcodeBits(_stats.scalar(
           "microcode_bits",
           "bits streamed out of the local microcode memory")),
@@ -69,8 +68,6 @@ Mce::Mce(std::string name, const MceConfig &cfg)
                               "QECC uops issued to the exec unit")),
       _logicalUops(_stats.scalar(
           "logical_uops", "logical (transverse) uops issued")),
-      _eventsLocal(_stats.scalar(
-          "events_local", "detection events resolved by the LUT")),
       _roundsStat(_stats.scalar("qecc_rounds", "QECC rounds executed")),
       _seuUopErrors(_stats.scalar(
           "seu_uop_errors",
@@ -498,10 +495,6 @@ Mce::runQeccRound()
 
     // Functional effect: evolve the frame and read the syndromes.
     _lastRound = _extractor->runRound(_frame, &_channel);
-    // Streaming mode hands rounds off as extracted; buffering them
-    // here too would grow _window without bound.
-    if (_windowBuffering)
-        _window.push_back(_lastRound);
     ++_roundsRun;
     ++_roundsStat;
     ++_mReplayRounds;
@@ -509,27 +502,6 @@ Mce::runQeccRound()
     if (_stretchRounds > 0 && --_stretchRounds == 0)
         _channel.setRates(_cfg.errorRates);
     return _lastRound;
-}
-
-decode::DetectionEvents
-Mce::collectResidualEvents()
-{
-    const decode::DetectionEvents events =
-        decode::extractDetectionEventsWindow(
-            _window, *_extractor,
-            _windowBaseline ? &*_windowBaseline : nullptr,
-            _windowFirstRound);
-
-    decode::LocalDecodeResult local = _lutDecoder.decodeLocal(events);
-    decode::applyCorrection(_ledger, local.correction);
-    _eventsLocal += double(local.resolvedEvents);
-
-    if (!_window.empty()) {
-        _windowBaseline = _window.back();
-        _windowFirstRound = _roundsRun;
-        _window.clear();
-    }
-    return local.residual;
 }
 
 void

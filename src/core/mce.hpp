@@ -8,8 +8,10 @@
  * no master-controller involvement; the mask table suppresses
  * syndrome generation where logical qubits live; the instruction
  * pipeline decodes 2-byte logical instructions into transverse
- * physical uops or mask updates; the error decoder pipeline runs the
- * local LUT decode and forwards residual detection events upward.
+ * physical uops or mask updates. The error decoder pipeline's local
+ * LUT stage is modelled, with the master's global matcher, by the
+ * tile's decode::StreamingDecoder in the master controller; the MCE
+ * hands it every extracted round and keeps the correction ledger.
  *
  * The MCE here is cycle-faithful at QECC-round granularity: every
  * round streams one micro-op per qubit per sub-cycle through the
@@ -22,11 +24,9 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "decode/detection.hpp"
-#include "decode/lut_decoder.hpp"
 #include "exec_unit.hpp"
 #include "icache.hpp"
 #include "isa/instructions.hpp"
@@ -192,30 +192,15 @@ class Mce
     /** Rounds executed so far. */
     std::size_t roundsRun() const { return _roundsRun; }
 
-    /**
-     * Drain the accumulated syndrome window into detection events
-     * and run the local LUT decode. Locally-resolved corrections go
-     * into the correction ledger; the residual events are returned
-     * for the master controller's global decoder.
-     */
-    decode::DetectionEvents collectResidualEvents();
-
-    /**
-     * Streaming hand-off: when buffering is off, extracted rounds
-     * are not accumulated into the offline decode window -- the
-     * master feeds each round to a decode::StreamingDecoder as it is
-     * extracted instead, and collectResidualEvents() drains nothing.
-     */
-    void setWindowBuffering(bool on) { _windowBuffering = on; }
-
-    /** The syndrome extractor replaying this tile's microcode. */
+    /** The syndrome extractor replaying this tile's microcode (it
+     *  is rebuilt on every mask change). */
     const qecc::SyndromeExtractor &extractor() const
     {
         return *_extractor;
     }
 
     /**
-     * Record a global-decoder correction. Following the paper
+     * Record a decoded correction. Following the paper
      * (Appendix A.2), corrections are not executed on the qubits:
      * they accumulate in a classical Pauli ledger that is folded in
      * when a qubit is finally measured. This keeps syndrome
@@ -243,10 +228,6 @@ class Mce
     }
     double qeccUopsIssued() const { return _qeccUops.value(); }
     double logicalUopsIssued() const { return _logicalUops.value(); }
-    double eventsResolvedLocally() const
-    {
-        return _eventsLocal.value();
-    }
     double seuUopErrors() const { return _seuUopErrors.value(); }
     ///@}
 
@@ -329,22 +310,16 @@ class Mce
     MaskTable _mask;
     QuantumExecutionUnit _execUnit;
     LogicalInstructionCache _icache;
-    decode::LutDecoder _lutDecoder;
 
     std::map<int, qecc::LogicalQubit> _logical;
     int _nextLogicalId = 0;
 
     std::size_t _roundsRun = 0;
-    bool _windowBuffering = true;
-    std::vector<qecc::SyndromeRound> _window;
-    std::optional<qecc::SyndromeRound> _windowBaseline;
-    std::size_t _windowFirstRound = 0;
     qecc::SyndromeRound _lastRound;
 
     sim::Scalar &_microcodeBits;
     sim::Scalar &_qeccUops;
     sim::Scalar &_logicalUops;
-    sim::Scalar &_eventsLocal;
     sim::Scalar &_roundsStat;
     sim::Scalar &_seuUopErrors;
 

@@ -23,9 +23,18 @@ extractDetectionEventsWindow(
     const qecc::SyndromeExtractor &extractor,
     const qecc::SyndromeRound *baseline, std::size_t first_round)
 {
+    return extractDetectionEventsWindow(history, extractor.xAncillas(),
+                                        extractor.zAncillas(), baseline,
+                                        first_round);
+}
+
+DetectionEvents
+extractDetectionEventsWindow(
+    const std::vector<qecc::SyndromeRound> &history,
+    const std::vector<Coord> &x_anc, const std::vector<Coord> &z_anc,
+    const qecc::SyndromeRound *baseline, std::size_t first_round)
+{
     DetectionEvents out;
-    const auto &x_anc = extractor.xAncillas();
-    const auto &z_anc = extractor.zAncillas();
 
     for (std::size_t r = 0; r < history.size(); ++r) {
         const auto &round = history[r];

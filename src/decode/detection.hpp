@@ -66,6 +66,16 @@ DetectionEvents extractDetectionEventsWindow(
     const qecc::SyndromeRound *baseline, std::size_t first_round);
 
 /**
+ * As above, with the ancilla order given directly (the extractor's
+ * xAncillas()/zAncillas(), which depend only on the lattice).
+ */
+DetectionEvents extractDetectionEventsWindow(
+    const std::vector<qecc::SyndromeRound> &history,
+    const std::vector<qecc::Coord> &x_anc,
+    const std::vector<qecc::Coord> &z_anc,
+    const qecc::SyndromeRound *baseline, std::size_t first_round);
+
+/**
  * Difference a batched syndrome history into per-lane detection
  * events. Lane t of the result is exactly what
  * extractDetectionEvents would return for lane t's scalar history:

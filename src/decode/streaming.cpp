@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/fault_injector.hpp"
 #include "sim/logging.hpp"
 #include "sim/trace.hpp"
 
@@ -9,7 +10,10 @@ namespace quest::decode {
 
 StreamingDecoder::StreamingDecoder(
     const qecc::SyndromeExtractor &extractor, const StreamConfig &cfg)
-    : _extractor(&extractor), _cfg(cfg), _deadline(cfg.deadline),
+    : _lattice(&extractor.lattice()),
+      _xAncillas(extractor.xAncillas()),
+      _zAncillas(extractor.zAncillas()), _cfg(cfg),
+      _deadline(cfg.deadline),
       _lut(extractor.lattice()), _mwpm(extractor.lattice()),
       _cluster(extractor.lattice()),
       _mWindows(sim::metrics::Registry::global().counter(
@@ -111,8 +115,8 @@ StreamingDecoder::decodeWindow(bool flush)
         flush ? _firstRound + take : _firstRound + _cfg.strideRounds;
 
     DetectionEvents ev = extractDetectionEventsWindow(
-        _buffer, *_extractor, _baseline ? &*_baseline : nullptr,
-        _firstRound);
+        _buffer, _xAncillas, _zAncillas,
+        _baseline ? &*_baseline : nullptr, _firstRound);
     filterConsumed(ev.xEvents);
     filterConsumed(ev.zEvents);
 
@@ -158,9 +162,16 @@ StreamingDecoder::decodeWindow(bool flush)
         + newly_seen(carry.xEvents) + newly_seen(carry.zEvents);
     _chargedThrough = std::max(_chargedThrough, _firstRound + take);
 
+    // An injected overrun is drawn before the decode, once per
+    // window with residual events, and only when the deadline is
+    // modelled.
+    const bool injected = residual_total > 0 && _faults != nullptr
+        && _cfg.deadline.windowTicks != 0
+        && _faults->fire(sim::FaultSite::DecoderOverrun);
     Correction global;
     std::size_t deferred = 0;
-    if (residual_total > 0 && _deadline.overruns(residual_total)) {
+    if (residual_total > 0
+        && (injected || _deadline.overruns(residual_total))) {
         // Deadline overrun: degrade to the near-linear cluster
         // decoder over the commit region; the whole carry region is
         // deferred (it reappears identically next window).
@@ -175,7 +186,7 @@ StreamingDecoder::decodeWindow(bool flush)
         // earliest endpoint is in the commit region are committed
         // now (carry-side endpoints become consumed-ahead); matches
         // wholly in the carry region are deferred.
-        const std::size_t n = _extractor->lattice().numQubits();
+        const std::size_t n = _lattice->numQubits();
         std::vector<std::uint8_t> xflip(n, 0);
         std::vector<std::uint8_t> zflip(n, 0);
         std::vector<std::size_t> path;
@@ -229,6 +240,7 @@ StreamingDecoder::decodeWindow(bool flush)
         }
     }
     commit.deferredEvents = deferred;
+    commit.globalWeight = global.weight();
     commit.correction = local.correction;
     commit.correction.merge(global);
 

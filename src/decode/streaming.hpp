@@ -25,14 +25,19 @@
  *    the carried baseline reproduces them bit for bit);
  *  - a window whose residual event count would overrun the
  *    DecodeDeadline degrades to the union-find ClusterDecoder over
- *    the commit region only (the PR-1 real-time fallback), reporting
- *    the lateness stretch for the noise model.
+ *    the commit region only (the real-time fallback), reporting the
+ *    lateness stretch for the noise model. With a fault injector
+ *    attached and the deadline modelled, every window with residual
+ *    events also draws one injected DecoderOverrun, which forces the
+ *    same fallback.
  *
  * Each window runs the same LUT -> MWPM two-level pipeline as the
  * offline path, so a single window spanning the entire shot (or a
  * finish() on an unsliced buffer) reproduces DecoderPipeline's
  * correction bit for bit -- the correctness anchor the equivalence
- * suite in tests/test_streaming.cpp pins down.
+ * suite in tests/test_streaming.cpp pins down. The master controller
+ * decodes every tile through one of these; windowRounds ==
+ * strideRounds is its collect-then-decode cadence.
  *
  * Lag accounting: after every pushed round the decoder records how
  * many extracted rounds are not yet committed in the
@@ -53,6 +58,10 @@
 #include "pipeline.hpp"
 #include "qecc/extractor.hpp"
 #include "sim/metrics.hpp"
+
+namespace quest::sim {
+class FaultInjector;
+}
 
 namespace quest::decode {
 
@@ -86,6 +95,10 @@ struct StreamCommit
     /** Newly-seen post-LUT events forwarded to the global stage --
      *  what the master charges against the syndrome bus. */
     std::size_t forwardedEvents = 0;
+    /** Weight of the global stage's share of `correction` -- what
+     *  the master sends back over the bus. The LUT share never
+     *  leaves the MCE. */
+    std::size_t globalWeight = 0;
     /** Carry-region events deferred to the next window. */
     std::size_t deferredEvents = 0;
     /** True when the deadline degraded this window to the
@@ -99,8 +112,11 @@ struct StreamCommit
 /**
  * Decode a continuous syndrome stream in overlapping windows.
  *
- * Not thread-safe: one instance per stream (per tile). The extractor
- * must outlive the decoder.
+ * Not thread-safe: one instance per stream (per tile). Only the
+ * extractor's lattice and ancilla order (a function of the lattice
+ * alone) are kept, so the extractor may be rebuilt -- an MCE does so
+ * on every mask change -- while the stream runs; the lattice must
+ * outlive the decoder.
  */
 class StreamingDecoder
 {
@@ -112,6 +128,13 @@ class StreamingDecoder
 
     /** Forward a mask predicate to both global decoders. */
     void setMaskPredicate(MwpmDecoder::MaskPredicate masked);
+
+    /**
+     * Attach the classical fault source: while the deadline is
+     * modelled, each window with residual events draws one
+     * DecoderOverrun trial before it decodes.
+     */
+    void attachFaults(sim::FaultInjector *faults) { _faults = faults; }
 
     /**
      * Feed one extracted round. When the buffer reaches a full
@@ -145,9 +168,13 @@ class StreamingDecoder
     std::size_t fallbacks() const { return _fallbackCount; }
 
   private:
-    const qecc::SyndromeExtractor *_extractor;
+    const qecc::Lattice *_lattice;
+    /** Ancilla order of the syndrome rounds (extractor order). */
+    std::vector<qecc::Coord> _xAncillas;
+    std::vector<qecc::Coord> _zAncillas;
     StreamConfig _cfg;
     DecodeDeadline _deadline;
+    sim::FaultInjector *_faults = nullptr;
 
     LutDecoder _lut;
     MwpmDecoder _mwpm;

@@ -13,6 +13,7 @@
 
 #include "core/system.hpp"
 #include "decode/cluster_decoder.hpp"
+#include "decode/streaming.hpp"
 #include "isa/trace.hpp"
 #include "qecc/extractor.hpp"
 
@@ -51,7 +52,8 @@ TEST(FailureInjection, RepeatedBurstsDoNotAccumulateSyndrome)
     core::MceConfig cfg;
     cfg.distance = 5;
     core::Mce mce("mce", cfg);
-    decode::MwpmDecoder global(mce.lattice());
+    decode::StreamingDecoder streamer(mce.extractor(),
+                                      {cfg.distance, cfg.distance, {}});
 
     sim::Rng rng(17);
     for (int burst = 0; burst < 20; ++burst) {
@@ -63,10 +65,8 @@ TEST(FailureInjection, RepeatedBurstsDoNotAccumulateSyndrome)
                 data[rng.uniformInt(data.size())]));
         }
         for (std::size_t r = 0; r < cfg.distance; ++r)
-            mce.runQeccRound();
-        const auto residual = mce.collectResidualEvents();
-        if (residual.total())
-            mce.applyCorrection(global.decode(residual));
+            if (auto commit = streamer.pushRound(mce.runQeccRound()))
+                mce.applyCorrection(commit->correction);
     }
     // Three-error bursts exceed the d=5 guarantee of two, so some
     // bursts decode to syndrome-free-but-wrong chains. The residual

@@ -182,13 +182,16 @@ TEST(GoldenTrace, WorkloadProducesObservableActivity)
     EXPECT_NE(r.snapshot.find("qecc.batch.rounds 12"),
               std::string::npos)
         << r.snapshot;
-    // Streaming sweep accounting: 32 trials x (d noisy + 1 quiet)
-    // pushed rounds, and 3 windows per trial (two full 4-round
-    // windows plus the flush) must be witnessed exactly.
-    EXPECT_NE(r.snapshot.find("decode.stream.rounds 192"),
+    // Streaming accounting must be witnessed exactly. Phase 4: 32
+    // trials x (d noisy + 1 quiet) = 192 pushed rounds and 3 windows
+    // per trial (two full 4-round windows plus the flush) = 96.
+    // Phase 1: the master's 2 tiles decode through streamers with
+    // W == S == d = 5, so 2 x 100 = 200 pushed rounds and
+    // 2 x 100 / 5 = 40 windows. Totals: 392 rounds, 136 windows.
+    EXPECT_NE(r.snapshot.find("decode.stream.rounds 392"),
               std::string::npos)
         << r.snapshot;
-    EXPECT_NE(r.snapshot.find("decode.stream.windows 96"),
+    EXPECT_NE(r.snapshot.find("decode.stream.windows 136"),
               std::string::npos)
         << r.snapshot;
     // Out-of-order sweep accounting: one issue plan serves all

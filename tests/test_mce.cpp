@@ -8,6 +8,7 @@
 
 #include "core/mce.hpp"
 #include "core/system.hpp"
+#include "decode/streaming.hpp"
 
 namespace {
 
@@ -15,6 +16,8 @@ using namespace quest::core;
 using quest::isa::LogicalInstr;
 using quest::isa::LogicalOpcode;
 using quest::qecc::Coord;
+using quest::decode::StreamCommit;
+using quest::decode::StreamingDecoder;
 
 MceConfig
 smallConfig()
@@ -48,21 +51,32 @@ TEST(Mce, RoundStreamsUopForEveryQubitEverySubCycle)
     EXPECT_GT(mce.microcodeBitsStreamed(), 0.0);
 }
 
+/** Run one round through a one-round (W == S) decode window and
+ *  record its correction in the tile's ledger. */
+StreamCommit
+decodeOneRound(Mce &mce, StreamingDecoder &streamer)
+{
+    const auto commit = streamer.pushRound(mce.runQeccRound());
+    EXPECT_TRUE(commit.has_value());
+    mce.applyCorrection(commit->correction);
+    return *commit;
+}
+
 TEST(Mce, InjectedErrorIsDetectedAndLocallyDecoded)
 {
     Mce mce("mce0", smallConfig());
+    StreamingDecoder streamer(mce.extractor(), {1, 1, {}});
     // Clean window first.
-    mce.runQeccRound();
-    auto clean = mce.collectResidualEvents();
-    EXPECT_EQ(clean.total(), 0u);
+    const StreamCommit clean = decodeOneRound(mce, streamer);
+    EXPECT_EQ(clean.windowEvents, 0u);
 
     // Inject an isolated interior error.
     mce.frame().injectX(mce.lattice().index(Coord{2, 2}));
-    mce.runQeccRound();
-    auto residual = mce.collectResidualEvents();
+    const StreamCommit residual = decodeOneRound(mce, streamer);
     // The LUT resolves the isolated pair locally: no residual.
-    EXPECT_EQ(residual.total(), 0u);
-    EXPECT_GT(mce.eventsResolvedLocally(), 0.0);
+    EXPECT_EQ(residual.forwardedEvents, 0u);
+    EXPECT_GT(residual.windowEvents, 0u);
+    EXPECT_EQ(residual.globalWeight, 0u);
     // Ledger now cancels the physical error.
     EXPECT_EQ(mce.residualErrorWeight(), 0u);
 }
@@ -72,9 +86,9 @@ TEST(Mce, CorrectionLedgerIsNotExecutedOnQubits)
     // Appendix A.2: corrections accumulate classically; the frame
     // keeps reporting the error, and the ledger cancels it.
     Mce mce("mce0", smallConfig());
+    StreamingDecoder streamer(mce.extractor(), {1, 1, {}});
     mce.frame().injectX(mce.lattice().index(Coord{2, 2}));
-    mce.runQeccRound();
-    mce.collectResidualEvents();
+    decodeOneRound(mce, streamer);
     EXPECT_TRUE(mce.frame().xError(mce.lattice().index(Coord{2, 2})));
     EXPECT_TRUE(mce.correctionLedger().xError(
         mce.lattice().index(Coord{2, 2})));
@@ -181,15 +195,13 @@ TEST(Mce, NoisyRunConvergesWithDecoding)
     cfg.errorRates = quest::quantum::ErrorRates{1e-3, 0, 0, 0, 0};
     cfg.seed = 42;
     Mce mce("mce0", cfg);
-    quest::decode::MwpmDecoder global(mce.lattice());
+    // Non-overlapping d-round windows: LUT then global matching.
+    StreamingDecoder streamer(mce.extractor(),
+                              {cfg.distance, cfg.distance, {}});
 
-    for (int window = 0; window < 40; ++window) {
-        for (std::size_t r = 0; r < cfg.distance; ++r)
-            mce.runQeccRound();
-        const auto residual = mce.collectResidualEvents();
-        if (residual.total())
-            mce.applyCorrection(global.decode(residual));
-    }
+    for (std::size_t r = 0; r < 40 * cfg.distance; ++r)
+        if (auto commit = streamer.pushRound(mce.runQeccRound()))
+            mce.applyCorrection(commit->correction);
     // With p=1e-3 on a d=5 tile, decoding keeps residual weight low
     // (no runaway accumulation).
     EXPECT_LE(mce.residualErrorWeight(), 3u);

@@ -655,8 +655,18 @@ runScenario(MceConfig cfg, SchedulingMode mode, std::uint64_t seed)
 
     const std::size_t rounds = 3 + rng.uniformInt(5);
     const bool with_logical = cfg.latticeRows > 0;
+    // One W == S window spanning the scenario: LUT then global
+    // matching, committed at the last round.
+    decode::StreamingDecoder streamer(mce.extractor(),
+                                      {rounds, rounds, {}});
+    std::size_t residual = 0;
     for (std::size_t r = 0; r < rounds; ++r) {
-        d.mixRound(mce.runQeccRound());
+        const qecc::SyndromeRound &round = mce.runQeccRound();
+        d.mixRound(round);
+        if (auto commit = streamer.pushRound(round)) {
+            residual = commit->forwardedEvents;
+            mce.applyCorrection(commit->correction);
+        }
         if (with_logical && r == 1) {
             // Mid-stream mask rebuild: the scheduler must re-plan.
             const int id = mce.defineLogicalQubit(Coord{2, 2});
@@ -666,9 +676,7 @@ runScenario(MceConfig cfg, SchedulingMode mode, std::uint64_t seed)
             && mce.logicalQubitCount() > 0)
             mce.executeLogical({isa::LogicalOpcode::Hadamard, 0});
     }
-    const decode::DetectionEvents residual =
-        mce.collectResidualEvents();
-    d.mix(residual.total());
+    d.mix(residual);
     d.mixFrame(mce.frame());
     d.mixFrame(mce.correctionLedger());
     d.mix(std::uint64_t(mce.microcodeBitsStreamed()));
@@ -821,46 +829,6 @@ TEST(ArbiterIntegration, QuarantinedTileRejoinsTheGrantRotation)
     EXPECT_GT(arb.tiles[1].issued, 0u);
     EXPECT_EQ(arb.tiles[1].issued, arb.tiles[0].issued);
     EXPECT_EQ(arb.tiles[1].slotsFetched, arb.tiles[0].slotsFetched);
-}
-
-TEST(ArbiterIntegration, StreamingFlushUnderArbitrationMatchesOffline)
-{
-    // The W == S streaming cadence equals offline decode; neither
-    // out-of-order issue nor the bandwidth arbiter may perturb it.
-    core::MasterConfig offline_cfg;
-    offline_cfg.numMces = 2;
-    offline_cfg.mce.distance = 3;
-    offline_cfg.mce.errorRates =
-        quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3};
-    offline_cfg.decodeWindowRounds = 3;
-
-    core::MasterConfig stream_cfg = offline_cfg;
-    stream_cfg.streamWindowRounds = 3;
-    stream_cfg.streamStrideRounds = 3; // W == S
-    stream_cfg.mce.scheduling = SchedulingMode::OutOfOrder;
-    stream_cfg.sharedFetchBandwidth = 4;
-
-    core::MasterController offline(offline_cfg);
-    core::MasterController streaming(stream_cfg);
-    offline.runRounds(7); // not a window multiple: 1 round buffered
-    streaming.runRounds(7);
-
-    EXPECT_GT(streaming.streamer(0).lagRounds(), 0u);
-    offline.decodeNow();
-    streaming.decodeNow(); // end-of-shot barrier flushes the buffer
-    EXPECT_EQ(streaming.streamer(0).lagRounds(), 0u);
-
-    for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(streaming.mce(i).residualErrorWeight(),
-                  offline.mce(i).residualErrorWeight())
-            << "tile " << i;
-        Digest a, b;
-        a.mixFrame(streaming.mce(i).correctionLedger());
-        b.mixFrame(offline.mce(i).correctionLedger());
-        EXPECT_EQ(a.h, b.h) << "tile " << i;
-    }
-    EXPECT_DOUBLE_EQ(streaming.busBytesSyndrome(),
-                     offline.busBytesSyndrome());
 }
 
 // ---------------------------------------------------------------------------

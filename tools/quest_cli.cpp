@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -192,6 +193,13 @@ class Options
   private:
     std::map<std::string, std::string> _values;
 };
+
+/** A --*-ms duration flag: milliseconds in [0, INT_MAX]. */
+int
+getMs(const Options &opts, const std::string &key, int fallback)
+{
+    return int(opts.getInt(key, fallback, 0, INT_MAX));
+}
 
 /** --distance, which must pass validDistance(). */
 std::size_t
@@ -775,7 +783,7 @@ sweepSpecFromFlags(const Options &opts)
         flagError("error-rates", rates_usage);
     spec.trialsPerPoint = std::uint64_t(opts.getInt("trials", 256, 1));
     spec.grain = std::uint64_t(opts.getInt("grain", 64, 1));
-    spec.seed = std::uint64_t(opts.getInt("seed", 1));
+    spec.seed = std::uint64_t(opts.getInt("seed", 1, 0));
     QUEST_ASSERT(spec.valid(), "flag checks admitted an invalid grid");
     return spec;
 }
@@ -804,25 +812,30 @@ cmdServe(const Options &opts)
         return 0;
     }
 
+    // Every flag is checked before the manager binds its socket.
     fleet::FleetConfig cfg;
-    cfg.port = std::uint16_t(opts.getInt("port", 0));
-    cfg.leaseMs = int(opts.getInt("lease-ms", cfg.leaseMs));
-    cfg.backoffBaseMs =
-        int(opts.getInt("backoff-ms", cfg.backoffBaseMs));
+    cfg.port = std::uint16_t(opts.getInt("port", 0, 0, 65535));
+    cfg.leaseMs = getMs(opts, "lease-ms", cfg.leaseMs);
+    cfg.backoffBaseMs = getMs(opts, "backoff-ms", cfg.backoffBaseMs);
     cfg.backoffJitter =
-        opts.getDouble("backoff-jitter", cfg.backoffJitter);
+        opts.getDouble("backoff-jitter", cfg.backoffJitter, 0.0, 1.0);
     cfg.redispatchBudget =
-        int(opts.getInt("budget", cfg.redispatchBudget));
+        int(opts.getInt("budget", cfg.redispatchBudget, 0, INT_MAX));
     cfg.stragglerFactor =
         opts.getDouble("straggler-factor", cfg.stragglerFactor);
-    cfg.heartbeatMs =
-        int(opts.getInt("heartbeat-ms", cfg.heartbeatMs));
+    if (!(cfg.stragglerFactor > 0.0))
+        flagError("straggler-factor", "must be positive");
+    cfg.heartbeatMs = getMs(opts, "heartbeat-ms", cfg.heartbeatMs);
     cfg.localFallbackMs =
-        int(opts.getInt("fallback-ms", cfg.localFallbackMs));
+        getMs(opts, "fallback-ms", cfg.localFallbackMs);
     cfg.schedulerSeed = std::uint64_t(
-        opts.getInt("scheduler-seed", long(cfg.schedulerSeed)));
+        opts.getInt("scheduler-seed", long(cfg.schedulerSeed), 0));
+    // -1 waits forever for a submission.
     cfg.submitTimeoutMs =
-        int(opts.getInt("submit-timeout-ms", -1));
+        int(opts.getInt("submit-timeout-ms", -1, -1, INT_MAX));
+    const bool await_job = opts.has("await-job");
+    const fleet::SweepSpec spec =
+        await_job ? fleet::SweepSpec{} : sweepSpecFromFlags(opts);
 
     fleet::Manager manager(cfg);
     if (opts.has("port-file")) {
@@ -837,11 +850,10 @@ cmdServe(const Options &opts)
     std::fprintf(stderr, "fleet: listening on 127.0.0.1:%u\n",
                  unsigned(manager.port()));
 
-    if (opts.has("await-job"))
+    if (await_job)
         return manager.serveOnce() ? 0 : 1;
 
-    writeSweepOutputs(manager.runSweep(sweepSpecFromFlags(opts)),
-                      opts);
+    writeSweepOutputs(manager.runSweep(spec), opts);
     return 0;
 }
 
@@ -850,7 +862,7 @@ std::uint16_t
 resolvePort(const Options &opts, int timeout_ms)
 {
     if (!opts.has("port-file"))
-        return std::uint16_t(opts.getInt("port", 0));
+        return std::uint16_t(opts.getInt("port", 0, 1, 65535));
     const std::string path = opts.get("port-file", "port");
     const auto deadline = std::chrono::steady_clock::now()
         + std::chrono::milliseconds(timeout_ms);
@@ -870,27 +882,28 @@ resolvePort(const Options &opts, int timeout_ms)
 int
 cmdWorker(const Options &opts)
 {
+    // Every flag is checked before the port is resolved or the
+    // worker connects.
     fleet::WorkerConfig cfg;
     cfg.host = opts.get("host", "127.0.0.1");
     cfg.connectTimeoutMs =
-        int(opts.getInt("connect-timeout-ms", cfg.connectTimeoutMs));
-    cfg.port = resolvePort(opts, cfg.connectTimeoutMs);
+        getMs(opts, "connect-timeout-ms", cfg.connectTimeoutMs);
     cfg.name = opts.get("name", "worker");
-    cfg.heartbeatMs =
-        int(opts.getInt("heartbeat-ms", cfg.heartbeatMs));
-    cfg.maxTasks = std::uint64_t(opts.getInt("max-tasks", 0));
-    cfg.stallMs = int(opts.getInt("stall-ms", cfg.stallMs));
+    cfg.heartbeatMs = getMs(opts, "heartbeat-ms", cfg.heartbeatMs);
+    cfg.maxTasks = std::uint64_t(opts.getInt("max-tasks", 0, 0));
+    cfg.stallMs = getMs(opts, "stall-ms", cfg.stallMs);
 
     cfg.chaos.seed =
-        std::uint64_t(opts.getInt("chaos-seed", 0x5EEDFAB5));
+        std::uint64_t(opts.getInt("chaos-seed", 0x5EEDFAB5, 0));
     cfg.chaos.rate(sim::FaultSite::WorkerKill) =
-        opts.getDouble("chaos-kill", 0.0);
+        opts.getDouble("chaos-kill", 0.0, 0.0, 1.0);
     cfg.chaos.rate(sim::FaultSite::WorkerStall) =
-        opts.getDouble("chaos-stall", 0.0);
+        opts.getDouble("chaos-stall", 0.0, 0.0, 1.0);
     cfg.chaos.rate(sim::FaultSite::ResultDrop) =
-        opts.getDouble("chaos-drop", 0.0);
+        opts.getDouble("chaos-drop", 0.0, 0.0, 1.0);
     cfg.chaos.rate(sim::FaultSite::DuplicateResult) =
-        opts.getDouble("chaos-dup", 0.0);
+        opts.getDouble("chaos-dup", 0.0, 0.0, 1.0);
+    cfg.port = resolvePort(opts, cfg.connectTimeoutMs);
 
     const fleet::WorkerExit rc = fleet::runWorker(cfg);
     if (rc == fleet::WorkerExit::Shutdown
@@ -902,24 +915,26 @@ cmdWorker(const Options &opts)
 int
 cmdSubmit(const Options &opts)
 {
-    const std::uint16_t port = resolvePort(
-        opts, int(opts.getInt("connect-timeout-ms", 10000)));
+    // Every flag is checked before the port is resolved or the
+    // connection opens.
+    const int connect_timeout =
+        getMs(opts, "connect-timeout-ms", 10000);
+    const int timeout = getMs(opts, "job-timeout-ms", 600000);
+    const fleet::SweepSpec spec = sweepSpecFromFlags(opts);
+    const std::uint16_t port = resolvePort(opts, connect_timeout);
     fleet::Socket sock = fleet::connectTcp(
-        opts.get("host", "127.0.0.1"), port,
-        int(opts.getInt("connect-timeout-ms", 10000)));
+        opts.get("host", "127.0.0.1"), port, connect_timeout);
     if (!sock.valid())
         sim::fatal("cannot reach manager on port %u",
                    unsigned(port));
 
     fleet::Json msg = fleet::Json::object();
     msg.set("type", fleet::Json("submit"));
-    msg.set("spec", sweepSpecFromFlags(opts).toJson());
+    msg.set("spec", spec.toJson());
     if (!fleet::sendFrame(sock, msg))
         sim::fatal("manager rejected the job submission");
 
     fleet::Json reply;
-    const int timeout =
-        int(opts.getInt("job-timeout-ms", 600000));
     if (fleet::recvFrame(sock, reply, timeout) != 1
         || reply.getString("type", "") != "table")
         sim::fatal("no table from the manager");
