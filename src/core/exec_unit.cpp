@@ -1,5 +1,7 @@
 #include "exec_unit.hpp"
 
+#include <algorithm>
+
 #include "sim/logging.hpp"
 
 namespace quest::core {
@@ -23,8 +25,31 @@ QuantumExecutionUnit::latch(std::size_t q, isa::PhysOpcode op)
     QUEST_ASSERT(q < _latched.size(),
                  "latch target %zu beyond switch array size %zu",
                  q, _latched.size());
+    _live += std::size_t(op != isa::PhysOpcode::Nop);
+    _live -= std::size_t(_latched[q] != isa::PhysOpcode::Nop);
     _latched[q] = op;
     ++_latches;
+}
+
+void
+QuantumExecutionUnit::latchSubCycle(
+    const std::vector<isa::PhysOpcode> &row, std::size_t live)
+{
+    QUEST_ASSERT(row.size() == _latched.size(),
+                 "sub-cycle row of %zu uops for a switch array of %zu",
+                 row.size(), _latched.size());
+    QUEST_DEBUG_ASSERT(
+        live == std::size_t(std::count_if(
+            row.begin(), row.end(),
+            [](isa::PhysOpcode op) {
+                return op != isa::PhysOpcode::Nop;
+            })),
+        "sub-cycle non-Nop count %zu is stale", live);
+    _latched = row;
+    _live = live;
+    // A sum of integers below 2^53: one add of n equals n
+    // increments exactly.
+    _latches += double(row.size());
 }
 
 void
@@ -33,6 +58,7 @@ QuantumExecutionUnit::release(std::size_t q)
     QUEST_ASSERT(q < _latched.size(),
                  "release target %zu beyond switch array size %zu",
                  q, _latched.size());
+    _live -= std::size_t(_latched[q] != isa::PhysOpcode::Nop);
     _latched[q] = isa::PhysOpcode::Nop;
 }
 
@@ -40,9 +66,7 @@ const std::vector<isa::PhysOpcode> &
 QuantumExecutionUnit::masterClock()
 {
     ++_clocks;
-    for (isa::PhysOpcode op : _latched)
-        if (op != isa::PhysOpcode::Nop)
-            ++_fired;
+    _fired += double(_live);
     return _latched;
 }
 

@@ -40,6 +40,16 @@ class QuantumExecutionUnit
     void latch(std::size_t q, isa::PhysOpcode op);
 
     /**
+     * Latch a whole sub-cycle at once: row[q] onto every switch q,
+     * exactly as numQubits() calls of latch(q, row[q]). `live` is
+     * the row's non-Nop count, which the caller precomputes once
+     * per program (the replay loop latches the same rows every
+     * round). The row must span the whole switch array.
+     */
+    void latchSubCycle(const std::vector<isa::PhysOpcode> &row,
+                       std::size_t live);
+
+    /**
      * Fire the master clock (step 3): every switch passes its
      * latched waveform. @return the uops applied this cycle,
      * indexed by qubit.
@@ -69,6 +79,8 @@ class QuantumExecutionUnit
 
   private:
     std::vector<isa::PhysOpcode> _latched;
+    /** Non-Nop switches in _latched: what the next clock fires. */
+    std::size_t _live = 0;
     sim::StatGroup _stats;
     sim::Scalar &_latches;
     sim::Scalar &_clocks;

@@ -115,6 +115,7 @@ MasterController::MasterController(const MasterConfig &cfg)
                 "replay bandwidth headroom under the tile's granted "
                 "share (available/required - 1)"));
         }
+        _arbKey.resize(cfg.numMces);
     }
     for (std::size_t i = 0; i < cfg.numMces; ++i) {
         MceConfig mc = cfg.mce;
@@ -302,41 +303,58 @@ void
 MasterController::arbitrateRound()
 {
     QUEST_TRACE_SCOPE("master", "arbitrate");
-    // Fresh oracles each round: mask changes and quarantines reshape
-    // the per-tile programs, and a wedged engine demands nothing.
-    std::vector<const verify::DependencyOracle *> oracles;
-    std::vector<std::uint8_t> active;
-    oracles.reserve(_mces.size());
-    active.reserve(_mces.size());
-    for (const auto &m : _mces) {
-        oracles.push_back(&m->dependencyOracle());
-        active.push_back(m->hung() ? 0 : 1);
+    // arbitrate() is a pure function of the tiles' programs and
+    // liveness (mode, bandwidth and policy are fixed at
+    // construction), and a tile's program changes only with its
+    // generation. So while no tile's (generation, live) pair moved,
+    // the last plan is this round's plan: replay it, recording the
+    // same metrics a fresh plan would.
+    bool hit = _arbValid;
+    for (std::size_t i = 0; i < _mces.size(); ++i) {
+        const std::pair<std::uint64_t, std::uint8_t> key{
+            _mces[i]->programGeneration(),
+            _mces[i]->hung() ? 0 : 1};
+        hit = hit && _arbKey[i] == key;
+        _arbKey[i] = key;
     }
-    _lastArbitration = _arbiter->arbitrate(
-        oracles, active, _cfg.mce.scheduling,
-        _cfg.sharedFetchBandwidth, _cfg.arbiterPolicy, 1);
-    _arbValid = true;
+    if (hit) {
+        _arbiter->record(_lastArbitration);
+    } else {
+        std::vector<const verify::DependencyOracle *> oracles;
+        std::vector<std::uint8_t> active;
+        oracles.reserve(_mces.size());
+        active.reserve(_mces.size());
+        for (std::size_t i = 0; i < _mces.size(); ++i) {
+            oracles.push_back(&_mces[i]->dependencyOracle());
+            active.push_back(_arbKey[i].second);
+        }
+        _lastArbitration = _arbiter->arbitrate(
+            oracles, active, _cfg.mce.scheduling,
+            _cfg.sharedFetchBandwidth, _cfg.arbiterPolicy, 1);
+        _arbValid = true;
+        exportSlack();
+    }
+    for (std::size_t i = 0; i < _mces.size(); ++i)
+        *_mTileBwWait[i] +=
+            _lastArbitration.tiles[i].stalls.bandwidthWait;
+}
 
-    // Per-tile contention export: bandwidth-wait cycles, plus the
-    // budget-pass slack math scaled by the share of fetch slots the
-    // arbiter actually granted this tile.
+void
+MasterController::exportSlack()
+{
+    // The budget-pass slack math, scaled by the share of fetch
+    // slots the arbiter granted each tile.
     std::size_t total_slots = 0;
     for (const TileSchedule &t : _lastArbitration.tiles)
         total_slots += t.slotsFetched;
     const tech::JJMemoryModel mem;
     for (std::size_t i = 0; i < _mces.size(); ++i) {
         const TileSchedule &t = _lastArbitration.tiles[i];
-        *_mTileBwWait[i] += t.stalls.bandwidthWait;
-        if (!active[i] || total_slots == 0)
+        if (!_arbKey[i].second || total_slots == 0)
             continue;
         const Mce &m = *_mces[i];
         const auto &spec =
             qecc::protocolSpec(m.config().protocol);
-        const std::size_t uop_bits =
-            m.config().microcodeDesign == MicrocodeDesign::Ram
-            ? isa::ramUopBits(spec.opcodeCount,
-                              m.lattice().numQubits())
-            : isa::fifoUopBits(spec.opcodeCount);
         const double round_seconds =
             sim::ticksToSeconds(spec.roundDuration(
                 tech::gateLatencies(m.config().technology)));
@@ -346,7 +364,7 @@ MasterController::arbitrateRound()
         const double share =
             double(t.slotsFetched) / double(total_slots);
         const double available =
-            mem.uopsPerSecond(m.config().memoryConfig, uop_bits)
+            mem.uopsPerSecond(m.config().memoryConfig, m.uopBits())
             * round_seconds * share;
         _mTileSlack[i]->set(
             required > 0 ? available / required - 1.0 : 0.0);

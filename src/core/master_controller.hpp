@@ -16,6 +16,7 @@
 #define QUEST_CORE_MASTER_CONTROLLER_HPP
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "decode/streaming.hpp"
@@ -180,7 +181,9 @@ class MasterController
     }
 
     /** The arbiter's plan for the last stepRound(). Asserts that
-     *  arbitration is on and at least one round has run. */
+     *  arbitration is on and at least one round has run. The plan
+     *  is memoized: it is recomputed only when some tile's program
+     *  generation or liveness changed since it was made. */
     const ArbitrationResult &lastArbitration() const;
 
     /** @name Classical resilience. */
@@ -281,6 +284,9 @@ class MasterController
     std::unique_ptr<DynamicScheduler> _arbiter;
     ArbitrationResult _lastArbitration;
     bool _arbValid = false;
+    /** Per tile, the (program generation, live) pair
+     *  _lastArbitration was planned for. */
+    std::vector<std::pair<std::uint64_t, std::uint8_t>> _arbKey;
     // Per-tile contention metrics, bound at construction (registry
     // references, never function-local statics).
     std::vector<sim::metrics::Counter *> _mTileBwWait;
@@ -337,8 +343,13 @@ class MasterController
     /** Per-round classical fault arrivals (hangs, SEUs). */
     void injectRoundFaults();
 
-    /** Run the shared-bandwidth arbiter over this round's tiles. */
+    /** Plan this round's shared-bandwidth arbitration (or replay the
+     *  memoized plan) and export its per-tile metrics. */
     void arbitrateRound();
+
+    /** Set every live tile's slack gauge from the granted shares of
+     *  a fresh plan (a memoized plan leaves them as they are). */
+    void exportSlack();
 
     /** Flush tile i's streaming decoder (commit everything). */
     void decodeTile(std::size_t mce_idx);

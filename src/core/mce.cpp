@@ -118,14 +118,21 @@ Mce::rebuildMaskedSchedule()
 {
     // Copy the base program and blank every uop addressed to a
     // masked qubit: syndrome generation is suppressed there and the
-    // slot is available to the logical-uop path instead.
+    // slot is available to the logical-uop path instead. Count the
+    // uops that survive, per sub-cycle, for the replay loop.
     auto masked = std::make_unique<RoundSchedule>(
         *_lattice, _baseSchedule->spec());
+    _subCycleUops.assign(_baseSchedule->depth(), 0);
+    _roundUops = 0;
     for (std::size_t s = 0; s < _baseSchedule->depth(); ++s) {
         SubCycle sc = _baseSchedule->subCycle(s);
-        for (std::size_t q = 0; q < sc.uops.size(); ++q)
+        for (std::size_t q = 0; q < sc.uops.size(); ++q) {
             if (_mask.masked(q))
                 sc.uops[q] = PhysOpcode::Nop;
+            else if (sc.uops[q] != PhysOpcode::Nop)
+                ++_subCycleUops[s];
+        }
+        _roundUops += _subCycleUops[s];
         masked->addSubCycle(std::move(sc));
     }
     _maskedSchedule = std::move(masked);
@@ -135,6 +142,10 @@ Mce::rebuildMaskedSchedule()
     // scheduled round (or oracle consumer) re-plans lazily.
     _oracle.reset();
     _planValid = false;
+    ++_generation;
+    _uopBits = MicrocodeModel(_maskedSchedule->spec(), _cfg.technology)
+                   .uopBits(_cfg.microcodeDesign,
+                            _lattice->numQubits());
 }
 
 const verify::DependencyOracle &
@@ -157,7 +168,7 @@ Mce::lastIssuePlan() const
 }
 
 std::uint64_t
-Mce::replayOutOfOrder(std::size_t uop_bits)
+Mce::replayOutOfOrder()
 {
     const verify::DependencyOracle &oracle = dependencyOracle();
     if (!_planValid) {
@@ -191,9 +202,9 @@ Mce::replayOutOfOrder(std::size_t uop_bits)
     // still visits every slot (Nops cost fetch bandwidth and are
     // discarded at decode), so the microcode-bit totals match.
     _microcodeBits +=
-        double(_issuePlan.slotsFetched) * double(uop_bits);
+        double(_issuePlan.slotsFetched) * double(_uopBits);
     _mReplayUcodeBits +=
-        std::uint64_t(_issuePlan.slotsFetched) * uop_bits;
+        std::uint64_t(_issuePlan.slotsFetched) * _uopBits;
     ++_mSchedRounds;
     _mSchedCycles += _issuePlan.cycles.size();
     return round_uops;
@@ -466,29 +477,25 @@ Mce::runQeccRound()
         }
     }
 
-    const RoundSchedule &sched = *_maskedSchedule;
-    const std::size_t n = _lattice->numQubits();
-
     // Microcode pipeline: stream one uop per qubit per sub-cycle
     // through the latch array, then fire the master clock.
-    const MicrocodeModel model(sched.spec(), _cfg.technology);
-    const std::size_t uop_bits =
-        model.uopBits(_cfg.microcodeDesign, n);
     std::uint64_t round_uops = 0;
     if (_cfg.scheduling == SchedulingMode::OutOfOrder) {
-        round_uops = replayOutOfOrder(uop_bits);
+        round_uops = replayOutOfOrder();
     } else {
+        const RoundSchedule &sched = *_maskedSchedule;
         for (std::size_t s = 0; s < sched.depth(); ++s) {
-            const SubCycle &sc = sched.subCycle(s);
-            for (std::size_t q = 0; q < n; ++q) {
-                _execUnit.latch(q, sc.uops[q]);
-                if (sc.uops[q] != PhysOpcode::Nop)
-                    ++round_uops;
-            }
-            _microcodeBits += double(n * uop_bits);
-            _mReplayUcodeBits += std::uint64_t(n) * uop_bits;
+            _execUnit.latchSubCycle(sched.subCycle(s).uops,
+                                    _subCycleUops[s]);
             _execUnit.masterClock();
         }
+        round_uops = _roundUops;
+        // The stream visits every slot; the bit totals are integer
+        // sums below 2^53, so one add per round is exact.
+        const std::uint64_t bits = std::uint64_t(sched.depth())
+            * _lattice->numQubits() * _uopBits;
+        _microcodeBits += double(bits);
+        _mReplayUcodeBits += bits;
     }
     _qeccUops += double(round_uops);
     _mReplayUops += round_uops;

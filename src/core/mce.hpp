@@ -134,9 +134,18 @@ class Mce
      *  least one out-of-order round has run. */
     const TileSchedule &lastIssuePlan() const;
 
+    /**
+     * Program generation: bumped on every masked-schedule rebuild
+     * (every mask change), so two equal generations mean the same
+     * replayed program and the same dependencyOracle(). Plans
+     * derived from the program key on it.
+     */
+    std::uint64_t programGeneration() const { return _generation; }
+
     quantum::PauliFrame &frame() { return _frame; }
     LogicalInstructionCache &icache() { return _icache; }
     MaskTable &maskTable() { return _mask; }
+    const QuantumExecutionUnit &execUnit() const { return _execUnit; }
     sim::StatGroup &stats() { return _stats; }
 
     /** @name Logical qubit management (mask instructions). */
@@ -227,6 +236,8 @@ class Mce
         return _microcodeBits.value();
     }
     double qeccUopsIssued() const { return _qeccUops.value(); }
+    /** Stored bits per streamed uop under the tile's design. */
+    std::size_t uopBits() const { return _uopBits; }
     double logicalUopsIssued() const { return _logicalUops.value(); }
     double seuUopErrors() const { return _seuUopErrors.value(); }
     ///@}
@@ -295,6 +306,14 @@ class Mce
     std::unique_ptr<DynamicScheduler> _scheduler;
     TileSchedule _issuePlan;
     bool _planValid = false;
+    std::uint64_t _generation = 0;
+
+    /** Per-round replay constants of the masked program, refreshed
+     *  with it: each sub-cycle's non-Nop count, their sum, and the
+     *  stored bits per streamed uop. */
+    std::vector<std::size_t> _subCycleUops;
+    std::uint64_t _roundUops = 0;
+    std::size_t _uopBits = 0;
 
     sim::Rng _rng;
     quantum::PauliFrame _frame;
@@ -336,7 +355,7 @@ class Mce
     sim::metrics::Counter &_mSchedCycles;
 
     /** Replay one round through the planned OoO issue schedule. */
-    std::uint64_t replayOutOfOrder(std::size_t uop_bits);
+    std::uint64_t replayOutOfOrder();
 
     /** Rebuild the mask-filtered schedule after mask changes. */
     void rebuildMaskedSchedule();

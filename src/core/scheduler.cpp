@@ -284,6 +284,13 @@ DynamicScheduler::record(const TileSchedule &tile) const
         _hOccupancy.record(tile.occupancySum / tile.cycles.size());
 }
 
+void
+DynamicScheduler::record(const ArbitrationResult &plan) const
+{
+    for (const TileSchedule &tile : plan.tiles)
+        record(tile);
+}
+
 TileSchedule
 DynamicScheduler::schedule(const DependencyOracle &oracle,
                            SchedulingMode mode,
@@ -394,9 +401,9 @@ DynamicScheduler::arbitrate(
         t.out.makespanCycles = std::size_t(t.maxCompletion);
         result.makespanCycles =
             std::max(result.makespanCycles, t.out.makespanCycles);
-        record(t.out);
         result.tiles.push_back(std::move(t.out));
     }
+    record(result);
     return result;
 }
 

@@ -169,12 +169,21 @@ class DynamicScheduler
      * Run `tiles.size()` tile pipelines against a shared fetch
      * budget of `shared_bandwidth` slots per cycle. `active[i]` == 0
      * excludes tile i (a hung/quarantined engine demands nothing).
+     * Bumps the sched.* metrics once per tile, as record() does.
      */
     ArbitrationResult
     arbitrate(const std::vector<const verify::DependencyOracle *> &tiles,
               const std::vector<std::uint8_t> &active,
               SchedulingMode mode, std::size_t shared_bandwidth,
               ArbiterPolicy policy, std::size_t rounds = 1) const;
+
+    /**
+     * Bump the sched.* metrics exactly as arbitrate() does when it
+     * returns `plan`: one planned schedule per tile. A caller that
+     * replays a memoized plan records it through here, so the
+     * metrics still count one plan per use.
+     */
+    void record(const ArbitrationResult &plan) const;
 
   private:
     SchedulerConfig _cfg;

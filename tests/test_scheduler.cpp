@@ -38,6 +38,7 @@
 #include "core/scheduler.hpp"
 #include "core/system.hpp"
 #include "decode/streaming.hpp"
+#include "isa/trace.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
 #include "verify/dependency.hpp"
@@ -829,6 +830,290 @@ TEST(ArbiterIntegration, QuarantinedTileRejoinsTheGrantRotation)
     EXPECT_GT(arb.tiles[1].issued, 0u);
     EXPECT_EQ(arb.tiles[1].issued, arb.tiles[0].issued);
     EXPECT_EQ(arb.tiles[1].slotsFetched, arb.tiles[0].slotsFetched);
+}
+
+/** The sched.* metrics that recording one plan bumps. */
+struct SchedTotals
+{
+    std::uint64_t plans = 0;
+    std::uint64_t issued = 0;
+    std::uint64_t cycles = 0;
+    std::uint64_t stallData = 0;
+    std::uint64_t stallQueueFull = 0;
+    std::uint64_t stallFetch = 0;
+    std::uint64_t stallBandwidth = 0;
+    std::uint64_t occupancySamples = 0;
+
+    bool operator==(const SchedTotals &) const = default;
+
+    /** What DynamicScheduler::record() adds for one tile plan. */
+    void
+    add(const TileSchedule &t)
+    {
+        ++plans;
+        issued += t.issued;
+        cycles += t.cycles.size();
+        stallData += t.stalls.data;
+        stallQueueFull += t.stalls.queueFull;
+        stallFetch += t.stalls.fetchStarved;
+        stallBandwidth += t.stalls.bandwidthWait;
+        occupancySamples += t.cycles.empty() ? 0 : 1;
+    }
+
+    static SchedTotals
+    read()
+    {
+        auto &reg = sim::metrics::Registry::global();
+        const auto c = [&reg](const char *name) {
+            return reg.counter(name, "").value();
+        };
+        SchedTotals t;
+        t.plans = c("sched.plans");
+        t.issued = c("sched.issued");
+        t.cycles = c("sched.cycles");
+        t.stallData = c("sched.stall.data");
+        t.stallQueueFull = c("sched.stall.queue_full");
+        t.stallFetch = c("sched.stall.fetch");
+        t.stallBandwidth = c("sched.stall.bandwidth");
+        t.occupancySamples =
+            reg.histogram("sched.queue_occupancy", "").count();
+        return t;
+    }
+
+    SchedTotals
+    since(const SchedTotals &b) const
+    {
+        return { plans - b.plans,
+                 issued - b.issued,
+                 cycles - b.cycles,
+                 stallData - b.stallData,
+                 stallQueueFull - b.stallQueueFull,
+                 stallFetch - b.stallFetch,
+                 stallBandwidth - b.stallBandwidth,
+                 occupancySamples - b.occupancySamples };
+    }
+};
+
+std::uint64_t
+tileBwWait(std::size_t tile)
+{
+    return sim::metrics::Registry::global()
+        .counter("sched.tile" + std::to_string(tile)
+                     + ".bw_wait_cycles",
+                 "")
+        .value();
+}
+
+void
+expectSamePlan(const ArbitrationResult &got,
+               const ArbitrationResult &want)
+{
+    EXPECT_EQ(got.makespanCycles, want.makespanCycles);
+    EXPECT_EQ(got.slotsGranted, want.slotsGranted);
+    ASSERT_EQ(got.tiles.size(), want.tiles.size());
+    for (std::size_t i = 0; i < want.tiles.size(); ++i) {
+        SCOPED_TRACE("tile " + std::to_string(i));
+        const TileSchedule &g = got.tiles[i];
+        const TileSchedule &w = want.tiles[i];
+        EXPECT_EQ(g.cycles, w.cycles);
+        EXPECT_EQ(g.stalls.data, w.stalls.data);
+        EXPECT_EQ(g.stalls.queueFull, w.stalls.queueFull);
+        EXPECT_EQ(g.stalls.fetchStarved, w.stalls.fetchStarved);
+        EXPECT_EQ(g.stalls.bandwidthWait, w.stalls.bandwidthWait);
+        EXPECT_EQ(g.occupancySum, w.occupancySum);
+        EXPECT_EQ(g.makespanCycles, w.makespanCycles);
+        EXPECT_EQ(g.issued, w.issued);
+        EXPECT_EQ(g.slotsFetched, w.slotsFetched);
+    }
+}
+
+/**
+ * The master memoizes its arbitration plan per (tile program
+ * generation, liveness). After every round the plan it reports, and
+ * the metrics it recorded, must equal a fresh arbitration over the
+ * tiles as they are now -- across a wedge, a quarantine-and-resume,
+ * and two mask changes landing in one round gap.
+ */
+TEST(ArbiterIntegration, CachedPlanEqualsFreshArbitration)
+{
+    for (const SchedulingMode mode :
+         { SchedulingMode::InOrder, SchedulingMode::OutOfOrder }) {
+        for (const ArbiterPolicy policy :
+             { ArbiterPolicy::RoundRobin,
+               ArbiterPolicy::OldestFirst }) {
+            SCOPED_TRACE(core::schedulingModeName(mode) + " / "
+                         + core::arbiterPolicyName(policy));
+            core::MasterConfig cfg = arbitratedMaster(4, 8);
+            cfg.mce = core::tileConfigForLogicalQubits(3);
+            cfg.mce.scheduling = mode;
+            cfg.arbiterPolicy = policy;
+            cfg.watchdogMissThreshold = 2;
+            core::MasterController master(cfg);
+            const DynamicScheduler fresh_arbiter(cfg.mce.sched);
+
+            // Generation each tile's out-of-order issue plan was made
+            // for: a tile re-plans (and records that plan too) on
+            // its first replay after a program change.
+            std::vector<std::uint64_t> issue_plan_gen(4, 0);
+            for (std::size_t r = 0; r < 24; ++r) {
+                SCOPED_TRACE("round " + std::to_string(r));
+                if (r == 4)
+                    master.mce(1).wedge();
+                if (r == 9) {
+                    // Two missed heartbeats: quarantine and resume.
+                    master.heartbeatNow();
+                    master.heartbeatNow();
+                    ASSERT_EQ(master.resumeCount(), 1.0);
+                    ASSERT_FALSE(master.mce(1).hung());
+                }
+                if (r == 14) {
+                    Mce &tile = master.mce(2);
+                    const std::uint64_t gen = tile.programGeneration();
+                    const int id = tile.defineLogicalQubit(Coord{2, 2});
+                    tile.executeLogical(isa::LogicalInstr{
+                        isa::LogicalOpcode::MaskMove,
+                        std::uint16_t(id) });
+                    ASSERT_EQ(tile.programGeneration(), gen + 2);
+                }
+
+                std::vector<std::size_t> rounds_before;
+                std::vector<std::uint64_t> wait_before;
+                for (std::size_t i = 0; i < 4; ++i) {
+                    rounds_before.push_back(master.mce(i).roundsRun());
+                    wait_before.push_back(tileBwWait(i));
+                }
+                const SchedTotals before = SchedTotals::read();
+                master.stepRound();
+                const SchedTotals recorded =
+                    SchedTotals::read().since(before);
+                std::vector<std::uint64_t> waits;
+                for (std::size_t i = 0; i < 4; ++i)
+                    waits.push_back(tileBwWait(i) - wait_before[i]);
+
+                SchedTotals expected;
+                std::vector<const DependencyOracle *> oracles;
+                std::vector<std::uint8_t> active;
+                for (std::size_t i = 0; i < 4; ++i) {
+                    Mce &tile = master.mce(i);
+                    if (mode == SchedulingMode::OutOfOrder
+                        && tile.roundsRun() > rounds_before[i]
+                        && tile.programGeneration()
+                            != issue_plan_gen[i]) {
+                        expected.add(tile.lastIssuePlan());
+                        issue_plan_gen[i] = tile.programGeneration();
+                    }
+                    oracles.push_back(&tile.dependencyOracle());
+                    active.push_back(tile.hung() ? 0 : 1);
+                }
+                const ArbitrationResult fresh = fresh_arbiter.arbitrate(
+                    oracles, active, mode, cfg.sharedFetchBandwidth,
+                    policy, 1);
+                expectSamePlan(master.lastArbitration(), fresh);
+                for (std::size_t i = 0; i < 4; ++i) {
+                    expected.add(fresh.tiles[i]);
+                    EXPECT_EQ(waits[i],
+                              fresh.tiles[i].stalls.bandwidthWait)
+                        << "tile " << i;
+                }
+                EXPECT_EQ(recorded, expected);
+            }
+        }
+    }
+}
+
+/**
+ * questbench's replay_4tile configuration at 200 rounds, seed 1. The
+ * expected values were generated by the build before the master
+ * memoized its arbitration plan and the replay loop latched whole
+ * sub-cycles; both changes must leave every one of them as it was.
+ */
+TEST(ArbiterIntegration, GoldenTotalsFourTiles)
+{
+    constexpr std::size_t tiles = 4;
+    constexpr std::size_t rounds = 200;
+    core::MasterConfig cfg;
+    cfg.numMces = tiles;
+    cfg.mce = core::tileConfigForLogicalQubits(5);
+    cfg.mce.errorRates = quantum::ErrorRates{ 1e-3, 0, 0, 0, 1e-3 };
+    cfg.mce.seed = 1;
+    cfg.sharedFetchBandwidth = 2 * tiles;
+    cfg.arbiterPolicy = ArbiterPolicy::RoundRobin;
+
+    isa::TraceGenConfig tg;
+    tg.numInstructions = 2 * rounds;
+    tg.logicalQubits = tiles;
+    tg.maskFraction = 0.0;
+    tg.seed = 1;
+    const isa::LogicalTrace app = isa::generateApplicationTrace(tg);
+    const isa::LogicalTrace distill = isa::generateDistillationRound(0);
+
+    const SchedTotals before = SchedTotals::read();
+    core::QuestSystem sys(cfg);
+    sys.placeLogicalQubits();
+    core::MasterController &m = sys.master();
+    std::uint64_t makespan = 0;
+    std::uint64_t issued = 0;
+    core::StallBreakdown stalls;
+    std::size_t app_pos = 0;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        for (std::size_t k = 0; k < 2 && app_pos < app.size(); ++k)
+            m.dispatch(app.at(app_pos++));
+        if (r % 8 == 0)
+            for (std::size_t i = 0; i < tiles; ++i)
+                m.dispatchBlock(i, 0, distill);
+        m.broadcastSync();
+        m.stepRound();
+        const ArbitrationResult &arb = m.lastArbitration();
+        makespan += arb.makespanCycles;
+        for (const TileSchedule &t : arb.tiles) {
+            issued += t.issued;
+            stalls.data += t.stalls.data;
+            stalls.queueFull += t.stalls.queueFull;
+            stalls.fetchStarved += t.stalls.fetchStarved;
+            stalls.bandwidthWait += t.stalls.bandwidthWait;
+        }
+    }
+    m.decodeNow();
+    const SchedTotals recorded = SchedTotals::read().since(before);
+    const core::SystemReport rep = sys.report();
+
+    EXPECT_EQ(makespan, 175800u);
+    EXPECT_EQ(issued, 341600u);
+    EXPECT_EQ(stalls.data, 0u);
+    EXPECT_EQ(stalls.queueFull, 0u);
+    EXPECT_EQ(stalls.fetchStarved, 0u);
+    EXPECT_EQ(stalls.bandwidthWait, 347200u);
+
+    EXPECT_EQ(rep.rounds, rounds);
+    EXPECT_EQ(rep.baselineBytes, 1.4e6);
+    EXPECT_EQ(rep.questBusBytes, 3764.0);
+    EXPECT_EQ(rep.bytesLogical, 800.0);
+    EXPECT_EQ(rep.bytesSync, 1600.0);
+    EXPECT_EQ(rep.bytesSyndrome, 148.0);
+    EXPECT_EQ(rep.bytesCorrections, 128.0);
+    EXPECT_EQ(rep.bytesCache, 1088.0);
+    EXPECT_EQ(rep.bytesScrub, 0.0);
+
+    // One plan per tile per round, whether fresh or memoized.
+    EXPECT_EQ(recorded.plans, 800u);
+    EXPECT_EQ(recorded.issued, 341600u);
+    EXPECT_EQ(recorded.cycles, 700800u);
+    EXPECT_EQ(recorded.stallData, 0u);
+    EXPECT_EQ(recorded.stallQueueFull, 0u);
+    EXPECT_EQ(recorded.stallFetch, 0u);
+    EXPECT_EQ(recorded.stallBandwidth, 347200u);
+    EXPECT_EQ(recorded.occupancySamples, 800u);
+
+    // Latches differ by tile: transverse instructions latch their
+    // footprints one qubit at a time.
+    const double latches[tiles] = { 350936, 350806, 351118, 350936 };
+    for (std::size_t i = 0; i < tiles; ++i) {
+        SCOPED_TRACE("tile " + std::to_string(i));
+        const core::QuantumExecutionUnit &xu = m.mce(i).execUnit();
+        EXPECT_EQ(xu.latchCount(), latches[i]);
+        EXPECT_EQ(xu.firedInstructionCount(), 85400.0);
+        EXPECT_EQ(xu.masterClockCount(), 1400.0);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -356,6 +356,29 @@ cmdTraceGen(const Options &opts)
     return 0;
 }
 
+/**
+ * Replay places one logical qubit per MCE, so an instruction that
+ * names a qubit must address L0..L(mces-1); anything else would
+ * reach the MCE as an unknown qubit. Reject the trace before it
+ * runs, naming the first bad instruction.
+ */
+void
+checkTraceOperands(const isa::LogicalTrace &trace, std::size_t mces)
+{
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const isa::LogicalInstr &instr = trace.at(i);
+        if (instr.opcode == isa::LogicalOpcode::Nop
+            || instr.opcode == isa::LogicalOpcode::SyncToken)
+            continue;
+        if (instr.operand >= mces)
+            sim::fatal("trace instruction %zu (%s) targets logical "
+                       "qubit L%u, but replay places one logical "
+                       "qubit per MCE: L0..L%zu with --mces %zu",
+                       i, instr.toString().c_str(),
+                       unsigned(instr.operand), mces - 1, mces);
+    }
+}
+
 int
 cmdReplay(const Options &opts)
 {
@@ -373,6 +396,7 @@ cmdReplay(const Options &opts)
         std::uint64_t(opts.getInt("fault-seed", 0x5EEDFAB5, 0));
 
     const isa::LogicalTrace trace = isa::LogicalTrace::loadBinary(path);
+    checkTraceOperands(trace, mces);
 
     core::MasterConfig cfg;
     cfg.numMces = mces;
