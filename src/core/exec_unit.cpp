@@ -52,16 +52,6 @@ QuantumExecutionUnit::latchSubCycle(
     _latches += double(row.size());
 }
 
-void
-QuantumExecutionUnit::release(std::size_t q)
-{
-    QUEST_ASSERT(q < _latched.size(),
-                 "release target %zu beyond switch array size %zu",
-                 q, _latched.size());
-    _live -= std::size_t(_latched[q] != isa::PhysOpcode::Nop);
-    _latched[q] = isa::PhysOpcode::Nop;
-}
-
 const std::vector<isa::PhysOpcode> &
 QuantumExecutionUnit::masterClock()
 {

@@ -56,17 +56,6 @@ class QuantumExecutionUnit
      */
     const std::vector<isa::PhysOpcode> &masterClock();
 
-    /**
-     * Drop qubit q's switch back to Nop after its waveform has
-     * played. The in-order pipeline never needs this (every switch
-     * is re-latched each sub-cycle), but the dynamically scheduled
-     * pipeline latches only the uops issued this cycle and must
-     * clear them afterwards so the next master clock does not replay
-     * them. Not an instruction fetch, so the latch counter is
-     * untouched.
-     */
-    void release(std::size_t q);
-
     /** uop currently latched on a switch. */
     isa::PhysOpcode latched(std::size_t q) const
     {

@@ -304,9 +304,8 @@ MasterController::arbitrateRound()
 {
     QUEST_TRACE_SCOPE("master", "arbitrate");
     // arbitrate() is a pure function of the tiles' programs and
-    // liveness (mode, bandwidth and policy are fixed at
-    // construction), and a tile's program changes only with its
-    // generation. So while no tile's (generation, live) pair moved,
+    // liveness (the bandwidth is fixed at construction), and a
+    // tile's program changes only with its generation. So while no tile's (generation, live) pair moved,
     // the last plan is this round's plan: replay it, recording the
     // same metrics a fresh plan would.
     bool hit = _arbValid;
@@ -329,8 +328,7 @@ MasterController::arbitrateRound()
             active.push_back(_arbKey[i].second);
         }
         _lastArbitration = _arbiter->arbitrate(
-            oracles, active, _cfg.mce.scheduling,
-            _cfg.sharedFetchBandwidth, _cfg.arbiterPolicy, 1);
+            oracles, active, _cfg.sharedFetchBandwidth);
         _arbValid = true;
         exportSlack();
     }

@@ -86,7 +86,9 @@ struct MasterConfig
      *  arbitration). */
     std::size_t sharedFetchBandwidth = 0;
 
-    /** Grant policy when tiles contend. */
+    /** Grant policy when tiles contend. Round-robin is the only
+     *  one; the field stays while questbench sets it (ROADMAP
+     *  item 8). */
     ArbiterPolicy arbiterPolicy = ArbiterPolicy::RoundRobin;
     ///@}
 };

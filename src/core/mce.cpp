@@ -88,13 +88,7 @@ Mce::Mce(std::string name, const MceConfig &cfg)
           "stray errors replayed from SEU-corrupted words")),
       _mLogicalInstrs(sim::metrics::Registry::global().counter(
           "mce.pipeline.logical_instrs",
-          "logical instructions entering the MCE pipeline")),
-      _mSchedRounds(sim::metrics::Registry::global().counter(
-          "sched.replay.rounds",
-          "QECC rounds replayed through the dynamic scheduler")),
-      _mSchedCycles(sim::metrics::Registry::global().counter(
-          "sched.replay.cycles",
-          "pipeline cycles spent replaying scheduled rounds"))
+          "logical instructions entering the MCE pipeline"))
 {
     const auto &spec = qecc::protocolSpec(cfg.protocol);
     _baseSchedule = std::make_unique<RoundSchedule>(
@@ -139,9 +133,8 @@ Mce::rebuildMaskedSchedule()
     _extractor = std::make_unique<qecc::SyndromeExtractor>(
         *_maskedSchedule);
     // The dependence graph changed with the program; the next
-    // scheduled round (or oracle consumer) re-plans lazily.
+    // oracle consumer rebuilds it lazily.
     _oracle.reset();
-    _planValid = false;
     ++_generation;
     _uopBits = MicrocodeModel(_maskedSchedule->spec(), _cfg.technology)
                    .uopBits(_cfg.microcodeDesign,
@@ -156,58 +149,6 @@ Mce::dependencyOracle()
             verify::DependencyOracle::fromSchedule(
                 *_maskedSchedule));
     return *_oracle;
-}
-
-const TileSchedule &
-Mce::lastIssuePlan() const
-{
-    QUEST_ASSERT(_planValid,
-                 "%s: no out-of-order round has been planned",
-                 _name.c_str());
-    return _issuePlan;
-}
-
-std::uint64_t
-Mce::replayOutOfOrder()
-{
-    const verify::DependencyOracle &oracle = dependencyOracle();
-    if (!_planValid) {
-        if (!_scheduler)
-            _scheduler =
-                std::make_unique<DynamicScheduler>(_cfg.sched);
-        _issuePlan = _scheduler->schedule(
-            oracle, SchedulingMode::OutOfOrder, 1);
-        _planValid = true;
-    }
-
-    // Replay the planned issue schedule: each issue cycle latches
-    // its uops, fires the master clock, and drops the switches back
-    // to Nop once the waveforms have played. Issue order is a pure
-    // timing reshuffle — the functional effects retire in program
-    // order through the extractor below, exactly as in-order replay.
-    const auto &uops = oracle.uops();
-    std::uint64_t round_uops = 0;
-    for (const auto &issue_cycle : _issuePlan.cycles) {
-        if (issue_cycle.empty())
-            continue;
-        for (const std::uint32_t id : issue_cycle)
-            _execUnit.latch(uops[id].qubit, uops[id].op);
-        _execUnit.masterClock();
-        for (const std::uint32_t id : issue_cycle)
-            _execUnit.release(uops[id].qubit);
-        round_uops += issue_cycle.size();
-    }
-
-    // Fetch accounting is identical to in-order replay: the stream
-    // still visits every slot (Nops cost fetch bandwidth and are
-    // discarded at decode), so the microcode-bit totals match.
-    _microcodeBits +=
-        double(_issuePlan.slotsFetched) * double(_uopBits);
-    _mReplayUcodeBits +=
-        std::uint64_t(_issuePlan.slotsFetched) * _uopBits;
-    ++_mSchedRounds;
-    _mSchedCycles += _issuePlan.cycles.size();
-    return round_uops;
 }
 
 void
@@ -479,26 +420,20 @@ Mce::runQeccRound()
 
     // Microcode pipeline: stream one uop per qubit per sub-cycle
     // through the latch array, then fire the master clock.
-    std::uint64_t round_uops = 0;
-    if (_cfg.scheduling == SchedulingMode::OutOfOrder) {
-        round_uops = replayOutOfOrder();
-    } else {
-        const RoundSchedule &sched = *_maskedSchedule;
-        for (std::size_t s = 0; s < sched.depth(); ++s) {
-            _execUnit.latchSubCycle(sched.subCycle(s).uops,
-                                    _subCycleUops[s]);
-            _execUnit.masterClock();
-        }
-        round_uops = _roundUops;
-        // The stream visits every slot; the bit totals are integer
-        // sums below 2^53, so one add per round is exact.
-        const std::uint64_t bits = std::uint64_t(sched.depth())
-            * _lattice->numQubits() * _uopBits;
-        _microcodeBits += double(bits);
-        _mReplayUcodeBits += bits;
+    const RoundSchedule &sched = *_maskedSchedule;
+    for (std::size_t s = 0; s < sched.depth(); ++s) {
+        _execUnit.latchSubCycle(sched.subCycle(s).uops,
+                                _subCycleUops[s]);
+        _execUnit.masterClock();
     }
-    _qeccUops += double(round_uops);
-    _mReplayUops += round_uops;
+    // The stream visits every slot; the bit totals are integer sums
+    // below 2^53, so one add per round is exact.
+    const std::uint64_t bits = std::uint64_t(sched.depth())
+        * _lattice->numQubits() * _uopBits;
+    _microcodeBits += double(bits);
+    _mReplayUcodeBits += bits;
+    _qeccUops += double(_roundUops);
+    _mReplayUops += _roundUops;
 
     // Functional effect: evolve the frame and read the syndromes.
     _lastRound = _extractor->runRound(_frame, &_channel);

@@ -64,15 +64,11 @@ struct MceConfig
     std::size_t icacheCapacity = 1024; ///< instructions; 0 disables
     std::uint64_t seed = 1;
 
-    /**
-     * Pipeline timing model for the per-round microcode replay.
-     * Out-of-order issue changes *when* uops fire (the issue plan),
-     * never *what* retires: functional effects always apply in
-     * program order, so every architectural observable is
-     * bit-identical between modes.
-     */
+    /** Pipeline timing model of the per-round microcode replay.
+     *  In-order is the only one; the field stays while questbench
+     *  passes it to the arbiter (ROADMAP item 8). */
     SchedulingMode scheduling = SchedulingMode::InOrder;
-    /** Width/capacity knobs of the dynamic pipeline (OoO only). */
+    /** Fetch width of the pipeline model the arbiter plans with. */
     SchedulerConfig sched;
 
     /** Run the installed pre-flight verifier over the tile's
@@ -116,7 +112,7 @@ class Mce
     }
 
     /** The mask-filtered program actually replayed each round (what
-     *  the dynamic scheduler and the arbiter plan against). */
+     *  the arbiter plans against). */
     const qecc::RoundSchedule &maskedSchedule() const
     {
         return *_maskedSchedule;
@@ -124,15 +120,10 @@ class Mce
 
     /**
      * Qubit-dependence oracle of the masked program — lazily built
-     * (and rebuilt after every mask change). Available in either
-     * scheduling mode; the OoO replay path and the master's
-     * bandwidth arbiter consume it.
+     * (and rebuilt after every mask change). The master's bandwidth
+     * arbiter consumes it.
      */
     const verify::DependencyOracle &dependencyOracle();
-
-    /** The issue plan the last OoO round replayed. Asserts that at
-     *  least one out-of-order round has run. */
-    const TileSchedule &lastIssuePlan() const;
 
     /**
      * Program generation: bumped on every masked-schedule rebuild
@@ -300,12 +291,9 @@ class Mce
     std::unique_ptr<qecc::RoundSchedule> _maskedSchedule;
     std::unique_ptr<qecc::SyndromeExtractor> _extractor;
 
-    /** Dependence oracle + issue plan for the masked program;
-     *  invalidated by every mask change, rebuilt on demand. */
+    /** Dependence oracle of the masked program; invalidated by
+     *  every mask change, rebuilt on demand. */
     std::unique_ptr<verify::DependencyOracle> _oracle;
-    std::unique_ptr<DynamicScheduler> _scheduler;
-    TileSchedule _issuePlan;
-    bool _planValid = false;
     std::uint64_t _generation = 0;
 
     /** Per-round replay constants of the masked program, refreshed
@@ -351,11 +339,6 @@ class Mce
     sim::metrics::Counter &_mReplayHungRounds;
     sim::metrics::Counter &_mReplaySeuErrors;
     sim::metrics::Counter &_mLogicalInstrs;
-    sim::metrics::Counter &_mSchedRounds;
-    sim::metrics::Counter &_mSchedCycles;
-
-    /** Replay one round through the planned OoO issue schedule. */
-    std::uint64_t replayOutOfOrder();
 
     /** Rebuild the mask-filtered schedule after mask changes. */
     void rebuildMaskedSchedule();

@@ -1,108 +1,90 @@
 /**
  * @file
- * Cycle-level dynamic scheduler for the MCE microcode pipeline, and
+ * Cycle-level model of the MCE's in-order microcode pipeline, and
  * the multi-tile arbiter over shared JJ-memory fetch bandwidth.
  *
- * Two pipeline models over the same per-round uop program (a
- * verify::DependencyOracle):
- *
- *  - InOrder: the paper's replay loop. A sub-cycle's slots (Nops
- *    included — the stream visits every qubit) are fetched at the
- *    fetch width, then the master clock fires all of them at once;
- *    the next sub-cycle cannot fire until the slowest waveform of
- *    the current one has played. Fetch of the next sub-cycle
- *    overlaps execution (the switch array double-buffers), but the
- *    barrier convoys every qubit behind the longest latency —
- *    measurement, at 4 cycles.
- *
- *  - OutOfOrder: decoded uops enter a bounded IssueQueue; a
- *    Scoreboard carries the oracle's qubit-touch producer edges;
- *    each cycle the oldest ready uops issue up to the issue width.
- *    Independent stabilizer groups interleave and fetch/decode
- *    overlaps syndrome extraction, so the round's makespan tracks
- *    the dependence chains instead of the barrier sum.
- *
- * Multi-round scheduling stitches rounds together through the
- * oracle's first/last-touch chains (round r+1's first toucher of a
- * qubit depends on round r's last toucher), which is what lets
- * out-of-order issue pipeline across round boundaries.
+ * The pipeline is the paper's replay loop over the per-round uop
+ * program (a verify::DependencyOracle): a sub-cycle's slots (Nops
+ * included — the stream visits every qubit) are fetched at the
+ * fetch width, then the master clock fires all of them at once; the
+ * next sub-cycle cannot fire until the slowest waveform of the
+ * current one has played. Fetch of the next sub-cycle overlaps
+ * execution (the switch array double-buffers), but the barrier
+ * convoys every qubit behind the longest latency — measurement, at
+ * 4 cycles.
  *
  * The arbiter runs N tile pipelines against one shared fetch-slot
- * budget per cycle, granting slots round-robin or oldest-first
- * (lowest fetched watermark). Per-tile stall breakdowns separate
- * data hazards, structural (queue-full) stalls, fetch-fill bubbles
- * and bandwidth-denied cycles — the contention signal the master
- * controller exports per tile.
+ * budget per cycle, granting slots with a rotating priority. Per-tile
+ * stall breakdowns separate barrier stalls from bandwidth-denied
+ * cycles — the contention signal the master controller exports per
+ * tile.
  *
  * Everything here is a *timing* model: functional effects retire in
- * program order through the extractor regardless of issue order, so
- * architectural observables are bit-identical between modes (the
- * replay-equivalence contract tests/test_scheduler.cpp enforces).
+ * program order through the extractor, so arbitration never touches
+ * an architectural observable.
  */
 
 #ifndef QUEST_CORE_SCHEDULER_HPP
 #define QUEST_CORE_SCHEDULER_HPP
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "issue_queue.hpp"
+#include "isa/opcodes.hpp"
 #include "sim/metrics.hpp"
 #include "verify/dependency.hpp"
 
 namespace quest::core {
 
-/** How the MCE microcode pipeline orders uop issue. */
+/** How the MCE microcode pipeline orders uop issue. The sub-cycle
+ *  barrier is the only pipeline; the enum stays while questbench
+ *  names it (ROADMAP item 8). */
 enum class SchedulingMode
 {
-    InOrder,    ///< sub-cycle barrier replay (the paper's pipeline)
-    OutOfOrder, ///< issue-queue + scoreboard dataflow issue
+    InOrder, ///< sub-cycle barrier replay (the paper's pipeline)
 };
 
-/** Display name: "in-order" / "ooo". */
-std::string schedulingModeName(SchedulingMode mode);
-
-/** How the master arbitrates tiles over shared fetch bandwidth. */
+/** How the master arbitrates tiles over shared fetch bandwidth.
+ *  Rotating priority is the only grant; the enum stays while
+ *  questbench names it (ROADMAP item 8). */
 enum class ArbiterPolicy
 {
-    RoundRobin,  ///< rotating priority, one step per cycle
-    OldestFirst, ///< lowest fetched-slot watermark goes first
+    RoundRobin, ///< rotating priority, one step per cycle
 };
 
-/** Display name: "round-robin" / "oldest-first". */
-std::string arbiterPolicyName(ArbiterPolicy policy);
+/**
+ * Modeled JJ-clock latency of one fired uop's waveform. Single-qubit
+ * gates and preparations play in one cycle, the two-qubit
+ * interaction in two, measurement — the long pole the barrier
+ * convoys behind — in four.
+ */
+std::size_t uopLatencyCycles(isa::PhysOpcode op);
 
 /**
- * Safety cap on simulated arbitration cycles: no tile program
- * legitimately needs this long. Exposed so the static timing
- * oracle can sanity-check that its worst-case bounds stay inside
- * what the dynamic model would ever simulate.
+ * The longest uop waveform in the model (measurement). Exposed so
+ * the static timing oracle (verify::TimingOracle) can bound issue
+ * schedules without enumerating opcodes; a test pins it to
+ * max over uopLatencyCycles.
  */
-inline constexpr std::uint64_t kMaxSimCycles = 50'000'000;
+inline constexpr std::size_t kMaxUopLatencyCycles = 4;
 
-/** Width/capacity knobs of the dynamic pipeline. */
+/** Width knob of the pipeline. */
 struct SchedulerConfig
 {
     /** Uop slots fetched+decoded from the microcode store per JJ
      *  cycle (per tile, absent arbitration). */
     std::size_t fetchWidth = 4;
-    /** Ready uops issued per cycle. */
-    std::size_t issueWidth = 4;
-    /** Issue-queue capacity (structural stall when full). */
-    std::size_t queueCapacity = 32;
 };
 
 /** Stall-cycle breakdown by hazard class. */
 struct StallBreakdown
 {
-    /** Queue non-empty but nothing ready (RAW on qubit chains), or
-     *  the in-order barrier waiting out the slowest waveform. */
+    /** The barrier waiting out the slowest waveform. */
     std::uint64_t data = 0;
-    /** Decode blocked: issue queue full (structural hazard). */
+    /** Always 0: the barrier pipeline has no issue queue. Kept
+     *  while questbench reports it (ROADMAP item 8). */
     std::uint64_t queueFull = 0;
-    /** Queue empty while the stream is still fetching (fill
-     *  bubble). */
+    /** Always 0, as queueFull (ROADMAP item 8). */
     std::uint64_t fetchStarved = 0;
     /** Demanded fetch slots, granted none by the arbiter. */
     std::uint64_t bandwidthWait = 0;
@@ -117,17 +99,14 @@ struct StallBreakdown
 /** One tile's simulated issue schedule. */
 struct TileSchedule
 {
-    /** cycles[t] lists the uop ids issued at cycle t, oldest first.
-     *  Uop id = round * oracle.uops().size() + MicroOp::seq. */
+    /** cycles[t] lists the uop ids fired at cycle t, in program
+     *  order. Uop id = round * oracle.uops().size() + MicroOp::seq. */
     std::vector<std::vector<std::uint32_t>> cycles;
 
     StallBreakdown stalls;
-    /** Issue-queue occupancy integrated over cycles (divide by
-     *  cycles.size() for the mean). */
-    std::uint64_t occupancySum = 0;
-    /** Cycle by which every issued waveform has completed. */
+    /** Cycle by which every fired waveform has completed. */
     std::size_t makespanCycles = 0;
-    /** Total uops issued (== uops x rounds when the tile ran). */
+    /** Total uops fired (== uops x rounds when the tile ran). */
     std::size_t issued = 0;
     /** Stream slots fetched (Nops included). */
     std::size_t slotsFetched = 0;
@@ -144,10 +123,9 @@ struct ArbitrationResult
 };
 
 /**
- * The dynamic scheduler: plans single-tile issue schedules and
- * arbitrates multi-tile fleets. Deterministic — pure integer cycle
- * simulation, no randomness — so a plan is a pure function of
- * (program, config, mode, policy).
+ * Plans single-tile issue schedules and arbitrates multi-tile
+ * fleets. Deterministic — pure integer cycle simulation, no
+ * randomness — so a plan is a pure function of (program, config).
  */
 class DynamicScheduler
 {
@@ -162,7 +140,6 @@ class DynamicScheduler
      * statistics.
      */
     TileSchedule schedule(const verify::DependencyOracle &oracle,
-                          SchedulingMode mode,
                           std::size_t rounds = 1) const;
 
     /**
@@ -174,8 +151,19 @@ class DynamicScheduler
     ArbitrationResult
     arbitrate(const std::vector<const verify::DependencyOracle *> &tiles,
               const std::vector<std::uint8_t> &active,
-              SchedulingMode mode, std::size_t shared_bandwidth,
-              ArbiterPolicy policy, std::size_t rounds = 1) const;
+              std::size_t shared_bandwidth,
+              std::size_t rounds = 1) const;
+
+    /** The same, with the one-value mode and policy questbench
+     *  still passes (ROADMAP item 8). */
+    ArbitrationResult
+    arbitrate(const std::vector<const verify::DependencyOracle *> &tiles,
+              const std::vector<std::uint8_t> &active, SchedulingMode,
+              std::size_t shared_bandwidth, ArbiterPolicy,
+              std::size_t rounds = 1) const
+    {
+        return arbitrate(tiles, active, shared_bandwidth, rounds);
+    }
 
     /**
      * Bump the sched.* metrics exactly as arbitrate() does when it
@@ -195,12 +183,7 @@ class DynamicScheduler
     sim::metrics::Counter &_mIssued;
     sim::metrics::Counter &_mCycles;
     sim::metrics::Counter &_mStallData;
-    sim::metrics::Counter &_mStallQueueFull;
-    sim::metrics::Counter &_mStallFetch;
     sim::metrics::Counter &_mStallBandwidth;
-    sim::metrics::Histogram &_hOccupancy;
-
-    void record(const TileSchedule &tile) const;
 };
 
 } // namespace quest::core

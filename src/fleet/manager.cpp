@@ -337,10 +337,12 @@ Manager::latencyP99() const
 void
 Manager::reissueStragglers()
 {
-    const std::size_t done = std::size_t(_mTasksCompleted.value());
+    // This job's latency samples, not the process-wide completion
+    // counter: earlier jobs' completions say nothing about this
+    // job's latencies.
     const std::size_t gate =
         std::max<std::size_t>(8, _states.size() / 4);
-    if (done < gate)
+    if (_latenciesMs.size() < gate)
         return; // not enough samples to call anything a straggler
     const double p99 = latencyP99();
     if (p99 <= 0.0)

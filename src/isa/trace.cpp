@@ -85,10 +85,23 @@ LogicalTrace::loadBinary(const std::string &path)
         || std::memcmp(magic, traceMagic, sizeof(magic)) != 0)
         sim::fatal("'%s' is not a QuEST trace file", path.c_str());
 
-    std::vector<std::uint16_t> words;
-    std::uint16_t word = 0;
-    while (std::fread(&word, sizeof(word), 1, f.get()) == 1)
-        words.push_back(word);
+    std::vector<char> body;
+    char chunk[4096];
+    std::size_t got = 0;
+    while ((got = std::fread(chunk, 1, sizeof(chunk), f.get())) > 0)
+        body.insert(body.end(), chunk, chunk + got);
+    // An odd-length body ends in half an instruction: the file was
+    // cut, and replaying the whole words before the cut would run a
+    // silently shorter program.
+    if (body.size() % sizeof(std::uint16_t) != 0)
+        sim::fatal("'%s' is truncated: its %zu-byte body after the "
+                   "header is not a whole number of 2-byte "
+                   "instructions",
+                   path.c_str(), body.size());
+    std::vector<std::uint16_t> words(body.size()
+                                     / sizeof(std::uint16_t));
+    if (!body.empty())
+        std::memcpy(words.data(), body.data(), body.size());
     return decodeAll(words);
 }
 

@@ -2,15 +2,13 @@
  * @file
  * Qubit-level dependency oracle over an expanded uop stream.
  *
- * The PR-5 hazard pass and the PR-8 dynamic scheduler need the same
+ * The static hazard pass and the runtime scheduler read the same
  * analysis: walk the (sub-cycle, qubit) uop stream in program order,
  * resolve every two-qubit uop's partner on the lattice, and track
  * which uop last touched each operand qubit. The static pass turns
- * ordering violations into diagnostics; the runtime scheduler turns
- * the per-qubit touch chains into scoreboard producer edges. This
- * class computes both from one scan so the two consumers can never
- * drift: the scheduler's dependency graph *is* the hazard pass's
- * ordering analysis.
+ * ordering violations into diagnostics; the scheduler and the
+ * timing oracle read the per-sub-cycle uops and their waveform
+ * latencies. One scan serves both, so they can never drift.
  *
  * The oracle lives in its own small library (quest_verify_oracle,
  * depending only on qecc + isa) so that quest_core can consume it at
@@ -114,8 +112,7 @@ class DependencyOracle
         return _hazards;
     }
 
-    /** True when the program carries no hazard findings — the
-     *  precondition for out-of-order issue. */
+    /** True when the program carries no hazard findings. */
     bool clean() const { return _hazards.empty(); }
 
   private:

@@ -88,11 +88,8 @@ inline constexpr const char *rotationBudget = "isa.rotation_budget";
 
 /** Dataflow critical path alone misses the round deadline. */
 inline constexpr const char *timingDeadline = "timing.deadline";
-/** Fetch/issue widths stretch the worst case past the deadline. */
+/** The fetch width stretches the worst case past the deadline. */
 inline constexpr const char *timingWidthBound = "timing.width_bound";
-/** Bounded issue-queue capacity stretches the worst case past the
- *  deadline (widths alone would have met it). */
-inline constexpr const char *timingQueueBound = "timing.queue_bound";
 
 /** Aggregate fetch demand of co-resident tiles exceeds the shared
  *  bandwidth. */

@@ -1,52 +1,34 @@
 /**
  * @file
  * Static timing & contention oracle: WCET-style bounds on the
- * dynamic scheduler's cycle model, computed without simulation.
+ * in-order pipeline model of `core::DynamicScheduler`, computed
+ * without simulation.
  *
- * `TimingOracle` abstractly interprets `core::DynamicScheduler`
- * over a `DependencyOracle` dependency graph and returns three
- * nested worst-case issue-cycle bounds for a round program:
+ * `TimingOracle` interprets the barrier pipeline over a
+ * `DependencyOracle` dependency graph and returns two nested
+ * worst-case issue-cycle bounds for a round program:
  *
- *   criticalPathCycles  dataflow only — the longest producer chain
- *                       through Meas/Cnot waveform latencies, with
- *                       infinite fetch and issue resources. A
- *                       deadline miss here is inherent to the
- *                       program, not the pipeline.
- *   widthBoundCycles    adds the finite fetch/issue widths (and the
- *                       in-order sub-cycle barrier) but an
- *                       unbounded issue queue.
- *   totalBoundCycles    the full structural model: widths plus the
- *                       bounded issue-queue capacity.
+ *   criticalPathCycles  the waveform chain alone — every sub-cycle's
+ *                       slowest latency, back to back, with
+ *                       infinite fetch bandwidth. A deadline miss
+ *                       here is inherent to the program, not the
+ *                       pipeline.
+ *   totalBoundCycles    adds the finite fetch width: fire times obey
+ *                       c_{k+1} = c_k + max(F, L_k) with F the
+ *                       sub-cycle fetch time and L_k the slowest
+ *                       waveform of sub-cycle k.
  *
- * The in-order bound is exact (the barrier pipeline is closed-form:
- * fire times obey c_{k+1} = c_k + max(F, L_k) with F the sub-cycle
- * fetch time and L_k the slowest waveform of sub-cycle k). The
- * out-of-order bound is a sound over-approximation: uops are walked
- * in fetch order with the recurrence
+ * The bound is closed-form and exact for the uncontended grant (a
+ * test pins bound == makespan on random programs); the CI
+ * `verify-timing` job gates bound <= 1.5x observed on every shipped
+ * protocol x design configuration.
  *
- *   t[i] = max(avail[i], ready[i], M[i-w] + 1)
- *
- * where `ready` chains producer completion bounds, `avail` is a
- * monotone continuous fetch cursor (slots arrive at the granted
- * fetch rate; capacity blocking releases at M[i-C], the running
- * maximum of all bounds C uops back, because by then every older
- * uop has provably issued and the queue holds at most C-1 entries),
- * and the M[i-w]+1 term covers issue-width interference (when every
- * uop at least w back has issued, at most w-1 older uops can
- * compete for the w issue slots, so the front-to-back scan reaches
- * uop i). Soundness is additionally enforced empirically: the fuzz
- * differential in tests/test_timing.cpp asserts bound >= observed
- * cycles for hundreds of random programs per design and mode, and
- * the CI `verify-timing` job gates bound <= 1.5x observed on every
- * shipped protocol x design configuration.
- *
- * Multi-tile contention is modeled per arbitration window: under a
- * rotating-priority grant (and, empirically, oldest-first on
- * homogeneous tiles), any N consecutive cycles grant a contending
- * tile at least min(f,B) slots on its priority cycle plus
+ * Multi-tile contention is modeled per arbitration window: under the
+ * rotating-priority grant, any N consecutive cycles grant a
+ * contending tile at least min(f,B) slots on its priority cycle plus
  * min(f, B-(N-1)f) on each other cycle. `admitTiles()` turns this
- * into the static co-residency check ROADMAP item 1's multi-tenant
- * scheduler calls before placing programs on a shared substrate.
+ * into the static co-residency check a multi-tenant scheduler calls
+ * before placing programs on a shared substrate.
  */
 
 #ifndef QUEST_VERIFY_TIMING_HPP
@@ -67,11 +49,9 @@ class Pass;
 /** The nested worst-case bounds for one tile program. */
 struct TimingBound
 {
-    /** Dataflow-only longest path (infinite structural resources). */
+    /** Waveform chain alone (infinite fetch bandwidth). */
     std::size_t criticalPathCycles = 0;
-    /** Adds finite fetch/issue widths, unbounded queue. */
-    std::size_t widthBoundCycles = 0;
-    /** Full structural model (widths + bounded issue queue). */
+    /** Adds the finite fetch width: the full pipeline model. */
     std::size_t totalBoundCycles = 0;
 
     /** Fetch-stream slots per round (depth x qubits, Nops included). */
@@ -101,13 +81,12 @@ struct FetchGrant
 /**
  * Worst-case per-window fetch grant for one of `tiles` contending
  * pipelines (per-tile width `fetchWidth`) sharing `bandwidth`
- * slots per cycle under `policy`. slots == 0 means the tile can be
- * starved outright (bandwidth overcommitted).
+ * slots per cycle under the rotating-priority grant. slots == 0
+ * means the tile can be starved outright (bandwidth overcommitted).
  */
 FetchGrant worstCaseGrant(std::size_t tiles,
                           std::size_t fetchWidth,
-                          std::size_t bandwidth,
-                          core::ArbiterPolicy policy);
+                          std::size_t bandwidth);
 
 /** Static WCET analysis of the DynamicScheduler cycle model. */
 class TimingOracle
@@ -119,27 +98,19 @@ class TimingOracle
 
     /**
      * Bound the issue cycles of `rounds` repetitions of the round
-     * program under `mode`. `grant` is the fetch model; the default
-     * {0, 1} resolves to the uncontended {fetchWidth, 1}.
+     * program. `grant` is the fetch model; the default {0, 1}
+     * resolves to the uncontended {fetchWidth, 1}.
      *
      * Guarantee (the soundness contract the fuzz differential
      * pins): totalBoundCycles >= the dynamic scheduler's observed
      * `cycles.size()` and `makespanCycles` for the same program,
-     * mode, rounds and grant.
+     * rounds and grant, and equals `makespanCycles` uncontended.
      */
     TimingBound bound(const DependencyOracle &oracle,
-                      core::SchedulingMode mode,
                       std::size_t rounds = 1,
                       FetchGrant grant = {0, 1}) const;
 
   private:
-    TimingBound boundInOrder(const DependencyOracle &oracle,
-                             std::size_t rounds,
-                             FetchGrant grant) const;
-    TimingBound boundOutOfOrder(const DependencyOracle &oracle,
-                                std::size_t rounds,
-                                FetchGrant grant) const;
-
     core::SchedulerConfig _cfg;
 };
 
@@ -147,7 +118,6 @@ class TimingOracle
 struct TileTimingRequest
 {
     const DependencyOracle *oracle = nullptr;
-    core::SchedulingMode mode = core::SchedulingMode::InOrder;
     /** Cycles available per round (the syndrome-cycle deadline). */
     std::size_t deadlineCycles = 0;
 };
@@ -167,18 +137,17 @@ struct AdmissionDecision
 };
 
 /**
- * Static co-residency admission check (ROADMAP item 1): decide,
- * without running anything, whether every tile in the set meets its
- * per-round deadline when all of them contend for
- * `sharedFetchBandwidth` slots per cycle under `policy`. Rejects on
- * aggregate fetch-slot overcommit first, then on any tile whose
- * contended worst-case bound misses its deadline.
+ * Static co-residency admission check: decide, without running
+ * anything, whether every tile in the set meets its per-round
+ * deadline when all of them contend for `sharedFetchBandwidth`
+ * slots per cycle. Rejects on aggregate fetch-slot overcommit
+ * first, then on any tile whose contended worst-case bound misses
+ * its deadline.
  */
 AdmissionDecision
 admitTiles(const std::vector<TileTimingRequest> &tiles,
            const core::SchedulerConfig &cfg,
-           std::size_t sharedFetchBandwidth,
-           core::ArbiterPolicy policy);
+           std::size_t sharedFetchBandwidth);
 
 /** @name The timing verifier passes (see verifier.hpp). */
 ///@{

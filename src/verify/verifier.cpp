@@ -77,7 +77,6 @@ buildTileBundle(const core::MceConfig &cfg, std::string label)
     a.cell = compileUnitCell(*bundle.schedule);
     a.icacheCapacity = cfg.icacheCapacity;
     a.timing.sched = cfg.sched;
-    a.timing.scheduling = cfg.scheduling;
     return bundle;
 }
 
@@ -114,7 +113,6 @@ preflightGate(const core::Mce &mce)
     a.cell = compileUnitCell(mce.baseSchedule());
     a.icacheCapacity = cfg.icacheCapacity;
     a.timing.sched = cfg.sched;
-    a.timing.scheduling = cfg.scheduling;
 
     const Report report = Verifier().run(a);
     if (!report.ok()) {

@@ -93,18 +93,14 @@ struct TileArtifacts
     /** What the timing/contention passes analyse (see timing.hpp). */
     struct TimingSpec
     {
-        /** Pipeline widths/capacity of the tile under analysis. */
+        /** Pipeline fetch width of the tile under analysis. */
         core::SchedulerConfig sched;
-        core::SchedulingMode scheduling =
-            core::SchedulingMode::InOrder;
         /** Rounds the bound covers (deadline scales with it). */
         std::size_t rounds = 1;
         /** Co-resident copies the contention pass models. */
         std::size_t contentionTiles = 1;
         /** Shared fetch slots/cycle; 0 means sched.fetchWidth. */
         std::size_t sharedFetchBandwidth = 0;
-        core::ArbiterPolicy arbiterPolicy =
-            core::ArbiterPolicy::RoundRobin;
         /** Per-round deadline override in cycles; 0 derives the
          *  syndrome-cycle deadline from spec + technology. */
         std::size_t deadlineCycles = 0;

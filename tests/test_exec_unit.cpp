@@ -122,19 +122,18 @@ TEST(ExecUnit, SubCycleLatchMatchesPerQubitLatches)
             each.masterClock();
             expectSameUnit(whole, each);
         }
-        // Per-qubit latches and releases on top of a latched row
-        // (the logical-instruction and out-of-order paths) fire
-        // exactly what the switches then hold.
+        // Per-qubit latches on top of a latched row (the
+        // logical-instruction path) fire exactly what the switches
+        // then hold: the new Hadamard and the masked row's MeasZ.
         for (QuantumExecutionUnit *xu : { &whole, &each }) {
             xu->latch(0, P::Hadamard);
             xu->latch(1, P::Nop);
-            xu->release(3);
             xu->masterClock();
         }
         expectSameUnit(whole, each);
     }
     EXPECT_EQ(whole.masterClockCount(), 8.0);
-    EXPECT_EQ(whole.firedInstructionCount(), 2 * (0 + 5 + 2 + 1.0));
+    EXPECT_EQ(whole.firedInstructionCount(), 2 * (0 + 5 + 2 + 2.0));
 }
 
 /**

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/system.hpp"
 #include "decode/cluster_decoder.hpp"
@@ -154,6 +156,39 @@ TEST(TraceFile, CorruptMagicIsRejected)
     std::fclose(f);
     EXPECT_THROW(isa::LogicalTrace::loadBinary(path),
                  quest::sim::SimError);
+    std::remove(path.c_str());
+    quest::sim::setQuiet(false);
+}
+
+TEST(TraceFile, OddLengthBodyIsRejected)
+{
+    // A file cut mid-instruction must not replay the whole words
+    // before the cut as if they were the program.
+    isa::TraceGenConfig cfg;
+    cfg.numInstructions = 64;
+    cfg.logicalQubits = 2;
+    const std::string path = "/tmp/quest_truncated_trace.bin";
+    isa::generateApplicationTrace(cfg).saveBinary(path);
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::vector<char> bytes(1 << 12);
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+    std::fclose(f);
+    ASSERT_GT(bytes.size(), 8u);
+
+    quest::sim::setQuiet(true);
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size() - 1, f);
+    std::fclose(f);
+    try {
+        (void)isa::LogicalTrace::loadBinary(path);
+        ADD_FAILURE() << "truncated trace loaded";
+    } catch (const quest::sim::SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("truncated"),
+                  std::string::npos)
+            << e.what();
+    }
     std::remove(path.c_str());
     quest::sim::setQuiet(false);
 }

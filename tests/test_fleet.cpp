@@ -344,18 +344,27 @@ TEST(FleetManager, SurvivesDroppedAndDuplicatedResults)
     const std::uint64_t expiries0 =
         counterValue("fleet.lease_expiries");
 
-    WorkerConfig lossy;
-    lossy.name = "lossy";
-    lossy.heartbeatMs = 50;
-    lossy.chaos.seed = 7;
-    lossy.chaos.rate(sim::FaultSite::ResultDrop) = 0.5;
-    lossy.chaos.rate(sim::FaultSite::DuplicateResult) = 0.5;
-    WorkerConfig clean;
-    clean.name = "steady";
-    clean.heartbeatMs = 50;
+    // Both workers draw ResultDrop from seed 7, whose stream first
+    // fires on its second draw: each worker drops the result of the
+    // second task it runs. However the host schedules the two
+    // threads, the workers run all 6 tasks between them, so one of
+    // them runs at least 3 and drops a result that only its lease
+    // expiry can recover.
+    // The local fallback is put out of reach so that the manager
+    // cannot drain the queue itself while a worker thread is slow
+    // to connect.
+    FleetConfig cfg = testConfig();
+    cfg.localFallbackMs = 60000;
+    std::vector<WorkerConfig> lossy(2);
+    for (std::size_t i = 0; i < lossy.size(); ++i) {
+        lossy[i].name = "lossy" + std::to_string(i);
+        lossy[i].heartbeatMs = 50;
+        lossy[i].chaos.seed = 7;
+        lossy[i].chaos.rate(sim::FaultSite::ResultDrop) = 0.5;
+        lossy[i].chaos.rate(sim::FaultSite::DuplicateResult) = 0.5;
+    }
 
-    EXPECT_EQ(fleetCsv(testSpec(), testConfig(), {lossy, clean}),
-              golden);
+    EXPECT_EQ(fleetCsv(testSpec(), cfg, lossy), golden);
     EXPECT_GT(counterValue("fleet.lease_expiries"), expiries0);
 }
 

@@ -37,12 +37,15 @@ constexpr std::size_t goldenDistance = 5;
 constexpr std::size_t goldenRounds = 100;
 constexpr std::uint64_t goldenTrials = 32;
 constexpr std::uint64_t goldenBatches = 2;
+/** Rounds of the phase-5 arbitrated master: two whole W == S == 3
+ *  decode windows per tile. */
+constexpr std::size_t goldenArbRounds = 6;
 
 struct GoldenRun
 {
     std::string snapshot;
     std::uint64_t digest = 0;
-    /** Uops in the phase-5 out-of-order issue plan (one round). */
+    /** Uops the phase-5 arbiter's plans issued over all rounds. */
     std::uint64_t schedIssued = 0;
 };
 
@@ -137,21 +140,26 @@ runGolden(std::size_t threads)
             streamer.finish();
         });
 
-        // Phase 5: out-of-order replay sweep. The dynamic
-        // scheduler's issue plan is a pure function of the masked
-        // program, so the sched.* counters — planned once, replayed
-        // every round — must land in the snapshot identically for
-        // every thread count (the cycle model itself is serial).
-        core::MceConfig ooo_cfg;
-        ooo_cfg.distance = 3;
-        ooo_cfg.seed = goldenSeed + 2;
-        ooo_cfg.scheduling = core::SchedulingMode::OutOfOrder;
-        ooo_cfg.errorRates =
-            quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
-        core::Mce ooo("golden-ooo", ooo_cfg);
-        for (std::size_t r = 0; r < goldenDistance; ++r)
-            ooo.runQeccRound();
-        out.schedIssued = ooo.lastIssuePlan().issued;
+        // Phase 5: arbitrated replay. Two d=3 tiles contend for 4
+        // shared fetch slots per cycle; the master plans the
+        // arbitration once and replays the memoized plan every
+        // round, recording one plan per tile per round. The sched.*
+        // counters must land in the snapshot identically for every
+        // thread count (the cycle model itself is serial).
+        {
+            core::MasterConfig arb_cfg;
+            arb_cfg.numMces = 2;
+            arb_cfg.mce.distance = 3;
+            arb_cfg.mce.seed = goldenSeed + 2;
+            arb_cfg.mce.errorRates =
+                quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+            arb_cfg.sharedFetchBandwidth = 4;
+            core::MasterController arb(arb_cfg);
+            arb.runRounds(goldenArbRounds);
+            for (const core::TileSchedule &t :
+                 arb.lastArbitration().tiles)
+                out.schedIssued += goldenArbRounds * t.issued;
+        }
 
         // Snapshot while the master's stat tree is still attached.
         out.snapshot = sim::metricsSnapshot();
@@ -166,11 +174,11 @@ TEST(GoldenTrace, WorkloadProducesObservableActivity)
     const GoldenRun r = runGolden(1);
     // The snapshot must actually witness the instrumented
     // components, not vacuously compare empty strings. Replay
-    // rounds: 2 master tiles x 100 offline rounds plus the d=3
-    // phase-5 out-of-order tile's rounds.
+    // rounds: 2 master tiles x 100 rounds plus the 2 phase-5 tiles'
+    // rounds.
     EXPECT_NE(r.snapshot.find(
                   "mce.replay.rounds "
-                  + std::to_string(200 + goldenDistance)),
+                  + std::to_string(200 + 2 * goldenArbRounds)),
               std::string::npos)
         << r.snapshot;
     EXPECT_NE(r.snapshot.find("decode.mwpm.decodes"),
@@ -187,24 +195,28 @@ TEST(GoldenTrace, WorkloadProducesObservableActivity)
     // per trial (two full 4-round windows plus the flush) = 96.
     // Phase 1: the master's 2 tiles decode through streamers with
     // W == S == d = 5, so 2 x 100 = 200 pushed rounds and
-    // 2 x 100 / 5 = 40 windows. Totals: 392 rounds, 136 windows.
-    EXPECT_NE(r.snapshot.find("decode.stream.rounds 392"),
+    // 2 x 100 / 5 = 40 windows. Phase 5: 2 tiles x 6 rounds = 12
+    // pushed rounds and 2 x 6 / 3 = 4 windows. Totals: 404 rounds,
+    // 140 windows.
+    EXPECT_NE(r.snapshot.find("decode.stream.rounds 404"),
               std::string::npos)
         << r.snapshot;
-    EXPECT_NE(r.snapshot.find("decode.stream.windows 136"),
+    EXPECT_NE(r.snapshot.find("decode.stream.windows 140"),
               std::string::npos)
         << r.snapshot;
-    // Out-of-order sweep accounting: one issue plan serves all
-    // phase-5 rounds, so sched.issued witnesses exactly one round's
-    // uop count (computed at runtime — the program depends on the
-    // protocol and lattice) and sched.replay.rounds the replays.
+    // Arbitration accounting: one memoized plan serves all phase-5
+    // rounds and is recorded once per tile per round, so sched.plans
+    // witnesses 2 x 6 plans and sched.issued every round's uop count
+    // (computed at runtime — the program depends on the protocol and
+    // lattice).
     ASSERT_GT(r.schedIssued, 0u);
     EXPECT_NE(r.snapshot.find("sched.issued "
-                              + std::to_string(r.schedIssued)),
+                              + std::to_string(r.schedIssued) + "\n"),
               std::string::npos)
         << r.snapshot;
-    EXPECT_NE(r.snapshot.find("sched.replay.rounds "
-                              + std::to_string(goldenDistance)),
+    EXPECT_NE(r.snapshot.find("sched.plans "
+                              + std::to_string(2 * goldenArbRounds)
+                              + "\n"),
               std::string::npos)
         << r.snapshot;
     if (sim::traceCompiledIn()) {

@@ -130,6 +130,26 @@ TEST(Mce, MaskedAncillasStaySilent)
     EXPECT_TRUE(mce.runQeccRound().any());
 }
 
+TEST(Mce, MaskChangeRebuildsTheReplayedProgram)
+{
+    Mce mce("mce0", tileConfigForLogicalQubits(3));
+    const std::uint64_t gen = mce.programGeneration();
+    const std::size_t uops = mce.dependencyOracle().uops().size();
+    mce.runQeccRound();
+    const double per_round = mce.qeccUopsIssued();
+    // Replaying the same program leaves its generation alone.
+    EXPECT_EQ(mce.programGeneration(), gen);
+
+    mce.defineLogicalQubit(Coord{2, 2});
+    EXPECT_EQ(mce.programGeneration(), gen + 1);
+    // Masked qubits drop out of the program: the oracle the arbiter
+    // plans against shrinks, and so does the replayed round.
+    EXPECT_LT(mce.dependencyOracle().uops().size(), uops);
+    mce.runQeccRound();
+    EXPECT_EQ(mce.qeccUopsIssued() - per_round,
+              double(mce.dependencyOracle().uops().size()));
+}
+
 TEST(Mce, TransverseInstructionTouchesFootprint)
 {
     MceConfig cfg = tileConfigForLogicalQubits(3);

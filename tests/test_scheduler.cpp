@@ -1,23 +1,22 @@
 /**
  * @file
- * Replay-equivalence harness for the dynamically scheduled MCE.
+ * Tests of the in-order pipeline model and the multi-tile arbiter.
  *
- * The contract under test: out-of-order issue is a *timing* model
- * only. Whatever the issue plan does, the architectural observables
- * of a replay — measurement stream, syndrome rounds, correction
- * ledger, Pauli frame, uop/bit accounting — are bit-identical to the
- * in-order pipeline. The harness attacks that from three directions:
+ * The contract under test: the scheduler is a *timing* model only.
+ * Its plans fire every uop exactly once, after its producers'
+ * waveforms, one sub-cycle per barrier in program order; and turning
+ * the master's arbiter on never perturbs an architectural
+ * observable. The harness attacks that from three directions:
  *
- *  1. unit tests of the scoreboard / issue queue / latency model;
+ *  1. unit tests of the latency model, the barrier's closed-form
+ *     makespan and the sched.* metrics;
  *  2. a seeded random-microcode-program generator (constrained to
- *     pass `quest verify`) whose programs are planned through both
- *     pipelines and checked for structural soundness (coverage,
- *     dependency ordering, operand disjointness) plus functional
- *     reorder-equivalence under a Pauli-frame interpreter;
- *  3. end-to-end differentials: in-order vs out-of-order Mce (and
- *     MasterController) runs over randomized configurations across
- *     all three microcode designs, digest-compared observable by
- *     observable.
+ *     pass `quest verify`) whose programs are planned and checked
+ *     for structural soundness (coverage, dependency ordering,
+ *     operand disjointness, barrier shape) plus functional
+ *     equivalence under a Pauli-frame interpreter;
+ *  3. master-controller runs with the arbiter on and off, and the
+ *     memoized arbitration plan against fresh arbitration.
  *
  * The hazard oracle is additionally cross-checked against the static
  * verifier on hand-corrupted programs, pinning the shared-analysis
@@ -53,12 +52,9 @@ using namespace quest;
 using core::ArbiterPolicy;
 using core::ArbitrationResult;
 using core::DynamicScheduler;
-using core::IssueQueue;
 using core::Mce;
 using core::MceConfig;
-using core::Scoreboard;
 using core::SchedulerConfig;
-using core::SchedulingMode;
 using core::TileSchedule;
 using isa::PhysOpcode;
 using qecc::Coord;
@@ -81,63 +77,6 @@ TEST(UopLatency, MeasurementIsTheLongPole)
     EXPECT_EQ(core::uopLatencyCycles(PhysOpcode::PrepZ), 1u);
     EXPECT_EQ(core::uopLatencyCycles(PhysOpcode::Hadamard), 1u);
     EXPECT_EQ(core::uopLatencyCycles(PhysOpcode::Nop), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Scoreboard
-// ---------------------------------------------------------------------------
-
-TEST(Scoreboard, ReadyTracksProducerCompletion)
-{
-    Scoreboard sb(3);
-    sb.addProducer(2, 0);
-    sb.addProducer(2, 1);
-
-    // No producers: ready immediately.
-    EXPECT_TRUE(sb.ready(0, 0));
-    // Producers not yet issued.
-    EXPECT_FALSE(sb.ready(2, 100));
-
-    sb.markIssued(0, 5);
-    EXPECT_FALSE(sb.ready(2, 100)); // uop 1 still outstanding
-    sb.markIssued(1, 7);
-    EXPECT_FALSE(sb.ready(2, 6)); // uop 1 completes at 7
-    EXPECT_TRUE(sb.ready(2, 7));
-    EXPECT_EQ(sb.completion(1), 7u);
-}
-
-TEST(Scoreboard, RejectsBackwardEdgesAndDoubleIssue)
-{
-    Scoreboard sb(2);
-    EXPECT_THROW(sb.addProducer(0, 1), sim::SimError);
-    sb.markIssued(0, 1);
-    EXPECT_THROW(sb.markIssued(0, 2), sim::SimError);
-}
-
-// ---------------------------------------------------------------------------
-// Issue queue
-// ---------------------------------------------------------------------------
-
-TEST(IssueQueueTest, KeepsDecodeOrderAndBoundsCapacity)
-{
-    IssueQueue q(3);
-    EXPECT_TRUE(q.empty());
-    q.push(10);
-    q.push(11);
-    q.push(12);
-    EXPECT_TRUE(q.full());
-    EXPECT_THROW(q.push(13), sim::SimError);
-
-    // Oldest-first scan order is front-to-back.
-    EXPECT_EQ(q.entries()[0], 10u);
-    EXPECT_EQ(q.entries()[2], 12u);
-
-    // Erasing the middle preserves relative age order.
-    q.erase(1);
-    ASSERT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.entries()[0], 10u);
-    EXPECT_EQ(q.entries()[1], 12u);
-    EXPECT_THROW(q.erase(5), sim::SimError);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +270,7 @@ globalProducers(const DependencyOracle &oracle, std::uint32_t id)
 
 void
 checkPlanSoundness(const DependencyOracle &oracle,
-                   const TileSchedule &plan, SchedulingMode mode,
-                   std::size_t rounds)
+                   const TileSchedule &plan, std::size_t rounds)
 {
     const auto at = issueCycles(oracle, plan, rounds);
     const std::size_t u = oracle.uops().size();
@@ -365,26 +303,23 @@ checkPlanSoundness(const DependencyOracle &oracle,
         }
     }
 
-    if (mode == SchedulingMode::InOrder) {
-        // Barrier shape: all uops of one (round, sub-cycle) fire in
-        // one cycle, and the barrier order is program order.
-        std::map<std::pair<std::size_t, std::uint32_t>,
-                 std::set<std::size_t>>
-            perSub;
-        for (const auto &[id, cycle] : at)
-            perSub[{id / u, oracle.uops()[id % u].subCycle}].insert(
-                cycle);
-        std::size_t prev_cycle = 0;
-        bool first = true;
-        for (const auto &[key, cycles] : perSub) {
-            EXPECT_EQ(cycles.size(), 1u)
-                << "sub-cycle split across issue cycles";
-            if (!first) {
-                EXPECT_GT(*cycles.begin(), prev_cycle);
-            }
-            prev_cycle = *cycles.begin();
-            first = false;
+    // Barrier shape: all uops of one (round, sub-cycle) fire in one
+    // cycle, and the barrier order is program order.
+    std::map<std::pair<std::size_t, std::uint32_t>,
+             std::set<std::size_t>>
+        perSub;
+    for (const auto &[id, cycle] : at)
+        perSub[{id / u, oracle.uops()[id % u].subCycle}].insert(cycle);
+    std::size_t prev_cycle = 0;
+    bool first = true;
+    for (const auto &[key, cycles] : perSub) {
+        EXPECT_EQ(cycles.size(), 1u)
+            << "sub-cycle split across issue cycles";
+        if (!first) {
+            EXPECT_GT(*cycles.begin(), prev_cycle);
         }
+        prev_cycle = *cycles.begin();
+        first = false;
     }
 }
 
@@ -428,11 +363,11 @@ applyUop(const MicroOp &uop, std::size_t round,
 }
 
 /**
- * The fuzz core: 200 seeded random programs, both pipeline modes,
- * single- and multi-round plans. Structural soundness plus
- * functional equivalence — executing the uops *in issue order* on a
- * Pauli frame seeded with random errors must reproduce the
- * program-order frame and measurement record bit for bit.
+ * The fuzz core: 200 seeded random programs, single- and
+ * multi-round plans. Structural soundness plus functional
+ * equivalence — executing the uops *in issue order* on a Pauli
+ * frame seeded with random errors must reproduce the program-order
+ * frame and measurement record bit for bit.
  */
 TEST(SchedulerFuzz, TwoHundredRandomProgramsReplayEquivalently)
 {
@@ -444,45 +379,37 @@ TEST(SchedulerFuzz, TwoHundredRandomProgramsReplayEquivalently)
         ASSERT_TRUE(oracle.clean()) << "seed " << seed;
 
         const std::size_t rounds = 1 + seed % 3;
-        for (const SchedulingMode mode :
-             {SchedulingMode::InOrder, SchedulingMode::OutOfOrder}) {
-            const TileSchedule plan =
-                sched.schedule(oracle, mode, rounds);
-            checkPlanSoundness(oracle, plan, mode, rounds);
+        const TileSchedule plan = sched.schedule(oracle, rounds);
+        checkPlanSoundness(oracle, plan, rounds);
 
-            // Functional reorder equivalence.
-            sim::Rng noise(sim::Rng::deriveSeed(0xFA11u, seed));
-            quantum::PauliFrame ref(p.qubits());
-            quantum::PauliFrame got(p.qubits());
-            for (std::size_t q = 0; q < p.qubits(); ++q)
-                if (noise.bernoulli(0.2)) {
-                    const auto pauli =
-                        static_cast<quantum::Pauli>(
-                            1 + noise.uniformInt(3));
-                    ref.inject(q, pauli);
-                    got.inject(q, pauli);
-                }
-
-            std::map<std::pair<std::size_t, std::uint32_t>, int>
-                refMeas, gotMeas;
-            const std::size_t u = oracle.uops().size();
-            for (std::size_t r = 0; r < rounds; ++r)
-                for (const MicroOp &uop : oracle.uops())
-                    applyUop(uop, r, ref, refMeas);
-            for (const auto &issue_cycle : plan.cycles)
-                for (const std::uint32_t id : issue_cycle)
-                    applyUop(oracle.uops()[id % u], id / u, got,
-                             gotMeas);
-
-            EXPECT_EQ(refMeas, gotMeas)
-                << "seed " << seed << " mode "
-                << core::schedulingModeName(mode);
-            for (std::size_t q = 0; q < p.qubits(); ++q) {
-                ASSERT_EQ(ref.xError(q), got.xError(q))
-                    << "seed " << seed << " qubit " << q;
-                ASSERT_EQ(ref.zError(q), got.zError(q))
-                    << "seed " << seed << " qubit " << q;
+        // Functional equivalence of the issue order.
+        sim::Rng noise(sim::Rng::deriveSeed(0xFA11u, seed));
+        quantum::PauliFrame ref(p.qubits());
+        quantum::PauliFrame got(p.qubits());
+        for (std::size_t q = 0; q < p.qubits(); ++q)
+            if (noise.bernoulli(0.2)) {
+                const auto pauli =
+                    static_cast<quantum::Pauli>(1 + noise.uniformInt(3));
+                ref.inject(q, pauli);
+                got.inject(q, pauli);
             }
+
+        std::map<std::pair<std::size_t, std::uint32_t>, int> refMeas,
+            gotMeas;
+        const std::size_t u = oracle.uops().size();
+        for (std::size_t r = 0; r < rounds; ++r)
+            for (const MicroOp &uop : oracle.uops())
+                applyUop(uop, r, ref, refMeas);
+        for (const auto &issue_cycle : plan.cycles)
+            for (const std::uint32_t id : issue_cycle)
+                applyUop(oracle.uops()[id % u], id / u, got, gotMeas);
+
+        EXPECT_EQ(refMeas, gotMeas) << "seed " << seed;
+        for (std::size_t q = 0; q < p.qubits(); ++q) {
+            ASSERT_EQ(ref.xError(q), got.xError(q))
+                << "seed " << seed << " qubit " << q;
+            ASSERT_EQ(ref.zError(q), got.zError(q))
+                << "seed " << seed << " qubit " << q;
         }
     }
 }
@@ -494,46 +421,141 @@ TEST(SchedulerPlan, DeterministicAcrossInstances)
                                   p.subCycles);
     const DynamicScheduler a{SchedulerConfig{}};
     const DynamicScheduler b{SchedulerConfig{}};
-    const TileSchedule pa =
-        a.schedule(oracle, SchedulingMode::OutOfOrder, 2);
-    const TileSchedule pb =
-        b.schedule(oracle, SchedulingMode::OutOfOrder, 2);
+    const TileSchedule pa = a.schedule(oracle, 2);
+    const TileSchedule pb = b.schedule(oracle, 2);
     EXPECT_EQ(pa.cycles, pb.cycles);
     EXPECT_EQ(pa.makespanCycles, pb.makespanCycles);
     EXPECT_EQ(pa.stalls.total(), pb.stalls.total());
 }
 
-TEST(SchedulerPlan, OutOfOrderNeverSlowerOnCanonicalPrograms)
+/** The barrier pipeline of one tile fed at its full fetch width,
+ *  in closed form: each sub-cycle takes F = ceil(qubits / width)
+ *  cycles to fetch, the first fires at cycle F, and each later one
+ *  fires max(F, slowest waveform of its predecessor) cycles after
+ *  it. The barrier stalls for whatever of that waveform outlasts the
+ *  fetch. */
+struct BarrierForm
 {
-    const DynamicScheduler sched(SchedulerConfig{});
-    for (const std::size_t d : {3u, 5u}) {
-        MceConfig cfg;
-        cfg.distance = d;
-        Mce mce("t", cfg);
-        const DependencyOracle &oracle = mce.dependencyOracle();
-        const auto in_plan =
-            sched.schedule(oracle, SchedulingMode::InOrder, 4);
-        const auto ooo_plan =
-            sched.schedule(oracle, SchedulingMode::OutOfOrder, 4);
-        EXPECT_LE(ooo_plan.makespanCycles, in_plan.makespanCycles)
-            << "d=" << d;
-        EXPECT_EQ(ooo_plan.issued, in_plan.issued);
+    std::size_t makespan = 0;
+    std::uint64_t dataStalls = 0;
+};
+
+BarrierForm
+barrierClosedForm(const DependencyOracle &oracle, std::size_t width,
+                  std::size_t rounds)
+{
+    const std::size_t depth = oracle.depth();
+    std::vector<std::size_t> lat(depth, 1);
+    for (const MicroOp &uop : oracle.uops())
+        lat[uop.subCycle] =
+            std::max(lat[uop.subCycle],
+                     core::uopLatencyCycles(uop.op));
+    const std::size_t fetch = (oracle.numQubits() + width - 1) / width;
+    BarrierForm f;
+    std::size_t fire = fetch;
+    for (std::size_t k = 1; k < depth * rounds; ++k) {
+        const std::size_t prev = lat[(k - 1) % depth];
+        fire += std::max(fetch, prev);
+        f.dataStalls += prev > fetch ? prev - fetch : 0;
+    }
+    f.makespan = fire + lat[(depth * rounds - 1) % depth];
+    return f;
+}
+
+TEST(SchedulerPlan, MakespanMatchesTheBarrierClosedForm)
+{
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        const RandomProgram p = makeRandomProgram(seed);
+        const DependencyOracle oracle(*p.lattice, p.qubits(),
+                                      p.subCycles);
+        ASSERT_GT(oracle.depth(), 0u);
+        for (const std::size_t width : {1u, 2u, 4u, 8u, 64u}) {
+            SchedulerConfig cfg;
+            cfg.fetchWidth = width;
+            const DynamicScheduler sched(cfg);
+            const std::size_t rounds = 1 + seed % 3;
+            const TileSchedule plan = sched.schedule(oracle, rounds);
+            const BarrierForm want =
+                barrierClosedForm(oracle, width, rounds);
+            EXPECT_EQ(plan.makespanCycles, want.makespan)
+                << "seed " << seed << " width " << width;
+            EXPECT_EQ(plan.stalls.data, want.dataStalls)
+                << "seed " << seed << " width " << width;
+        }
     }
 }
 
-TEST(SchedulerPlan, TinyIssueQueueStallsStructurallyButCompletes)
+TEST(SchedulerPlan, SingleTileStallsOnlyAtTheBarrier)
 {
-    const RandomProgram p = makeRandomProgram(23);
-    const DependencyOracle oracle(*p.lattice, p.qubits(),
-                                  p.subCycles);
+    // Fed at its own fetch width, a lone tile is never denied a
+    // slot; the structural stall classes of the deleted issue queue
+    // stay 0; and the stream visits every qubit every sub-cycle.
     SchedulerConfig cfg;
-    cfg.queueCapacity = 2;
-    cfg.issueWidth = 1;
+    cfg.fetchWidth = 32; // latency-bound: the barrier must stall
     const DynamicScheduler sched(cfg);
-    const TileSchedule plan =
-        sched.schedule(oracle, SchedulingMode::OutOfOrder, 2);
-    checkPlanSoundness(oracle, plan, SchedulingMode::OutOfOrder, 2);
-    EXPECT_GT(plan.stalls.queueFull, 0u);
+    MceConfig mcfg;
+    mcfg.distance = 3;
+    Mce mce("t", mcfg);
+    const DependencyOracle &oracle = mce.dependencyOracle();
+    const TileSchedule plan = sched.schedule(oracle, 3);
+    EXPECT_GT(plan.stalls.data, 0u);
+    EXPECT_EQ(plan.stalls.bandwidthWait, 0u);
+    EXPECT_EQ(plan.stalls.queueFull, 0u);
+    EXPECT_EQ(plan.stalls.fetchStarved, 0u);
+    EXPECT_EQ(plan.stalls.total(), plan.stalls.data);
+    EXPECT_EQ(plan.slotsFetched,
+              oracle.depth() * oracle.numQubits() * 3);
+    EXPECT_EQ(plan.issued, oracle.uops().size() * 3);
+}
+
+TEST(SchedulerPlan, WiderFetchIsNeverSlower)
+{
+    for (const std::size_t d : {3u, 5u}) {
+        MceConfig mcfg;
+        mcfg.distance = d;
+        Mce mce("t", mcfg);
+        const DependencyOracle &oracle = mce.dependencyOracle();
+        std::size_t prev_makespan = 0;
+        std::size_t prev_issued = 0;
+        for (const std::size_t width : {64u, 16u, 8u, 4u, 2u, 1u}) {
+            SchedulerConfig cfg;
+            cfg.fetchWidth = width;
+            const TileSchedule plan =
+                DynamicScheduler(cfg).schedule(oracle, 2);
+            if (prev_makespan != 0) {
+                EXPECT_GE(plan.makespanCycles, prev_makespan)
+                    << "d=" << d << " width " << width;
+                EXPECT_EQ(plan.issued, prev_issued);
+            }
+            prev_makespan = plan.makespanCycles;
+            prev_issued = plan.issued;
+        }
+    }
+}
+
+TEST(SchedulerPlan, RoundsComposeLinearly)
+{
+    // The barrier carries nothing across a round boundary but the
+    // last sub-cycle's waveform, so each further round of the same
+    // program costs the same number of cycles.
+    MceConfig mcfg;
+    mcfg.distance = 3;
+    Mce mce("t", mcfg);
+    const DependencyOracle &oracle = mce.dependencyOracle();
+    for (const std::size_t width : {4u, 32u}) {
+        SchedulerConfig cfg;
+        cfg.fetchWidth = width;
+        const DynamicScheduler sched(cfg);
+        const std::size_t one = sched.schedule(oracle, 1).makespanCycles;
+        const std::size_t two = sched.schedule(oracle, 2).makespanCycles;
+        ASSERT_GT(two, one);
+        for (std::size_t r = 3; r <= 5; ++r) {
+            const TileSchedule plan = sched.schedule(oracle, r);
+            EXPECT_EQ(plan.makespanCycles, one + (r - 1) * (two - one))
+                << "width " << width << " rounds " << r;
+            EXPECT_EQ(plan.issued, oracle.uops().size() * r);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -548,26 +570,20 @@ TEST(Arbiter, ConservesBandwidthAndCoversEveryTile)
     const DependencyOracle &oracle = mce.dependencyOracle();
     const DynamicScheduler sched(SchedulerConfig{});
 
-    for (const ArbiterPolicy policy :
-         {ArbiterPolicy::RoundRobin, ArbiterPolicy::OldestFirst}) {
-        const std::vector<const DependencyOracle *> tiles(
-            4, &oracle);
-        const std::vector<std::uint8_t> active(4, 1);
-        const ArbitrationResult r =
-            sched.arbitrate(tiles, active,
-                            SchedulingMode::OutOfOrder, 8, policy, 2);
-        ASSERT_EQ(r.tiles.size(), 4u);
-        const std::size_t slots_per_tile =
-            oracle.depth() * oracle.numQubits() * 2;
-        std::uint64_t fetched = 0;
-        for (const TileSchedule &t : r.tiles) {
-            EXPECT_EQ(t.issued, oracle.uops().size() * 2);
-            EXPECT_EQ(t.slotsFetched, slots_per_tile);
-            EXPECT_LE(t.makespanCycles, r.makespanCycles);
-            fetched += t.slotsFetched;
-        }
-        EXPECT_EQ(r.slotsGranted, fetched);
+    const std::vector<const DependencyOracle *> tiles(4, &oracle);
+    const std::vector<std::uint8_t> active(4, 1);
+    const ArbitrationResult r = sched.arbitrate(tiles, active, 8, 2);
+    ASSERT_EQ(r.tiles.size(), 4u);
+    const std::size_t slots_per_tile =
+        oracle.depth() * oracle.numQubits() * 2;
+    std::uint64_t fetched = 0;
+    for (const TileSchedule &t : r.tiles) {
+        EXPECT_EQ(t.issued, oracle.uops().size() * 2);
+        EXPECT_EQ(t.slotsFetched, slots_per_tile);
+        EXPECT_LE(t.makespanCycles, r.makespanCycles);
+        fetched += t.slotsFetched;
     }
+    EXPECT_EQ(r.slotsGranted, fetched);
 }
 
 TEST(Arbiter, HungTileDemandsNothing)
@@ -578,9 +594,7 @@ TEST(Arbiter, HungTileDemandsNothing)
     const DependencyOracle &oracle = mce.dependencyOracle();
     const DynamicScheduler sched(SchedulerConfig{});
     const std::vector<const DependencyOracle *> tiles(3, &oracle);
-    const ArbitrationResult r = sched.arbitrate(
-        tiles, {1, 0, 1}, SchedulingMode::OutOfOrder, 4,
-        ArbiterPolicy::RoundRobin, 1);
+    const ArbitrationResult r = sched.arbitrate(tiles, {1, 0, 1}, 4);
     EXPECT_GT(r.tiles[0].issued, 0u);
     EXPECT_EQ(r.tiles[1].issued, 0u);
     EXPECT_EQ(r.tiles[1].slotsFetched, 0u);
@@ -597,12 +611,8 @@ TEST(Arbiter, ContentionStretchesMakespanAndRecordsWaits)
     const std::vector<const DependencyOracle *> tiles(4, &oracle);
     const std::vector<std::uint8_t> active(4, 1);
 
-    const auto starved = sched.arbitrate(
-        tiles, active, SchedulingMode::OutOfOrder, 4,
-        ArbiterPolicy::RoundRobin, 1);
-    const auto fed = sched.arbitrate(
-        tiles, active, SchedulingMode::OutOfOrder, 16,
-        ArbiterPolicy::RoundRobin, 1);
+    const auto starved = sched.arbitrate(tiles, active, 4);
+    const auto fed = sched.arbitrate(tiles, active, 16);
     EXPECT_GT(starved.makespanCycles, fed.makespanCycles);
     std::uint64_t waits = 0;
     for (const TileSchedule &t : starved.tiles)
@@ -610,11 +620,109 @@ TEST(Arbiter, ContentionStretchesMakespanAndRecordsWaits)
     EXPECT_GT(waits, 0u);
 }
 
+void
+expectSamePlan(const ArbitrationResult &got,
+               const ArbitrationResult &want)
+{
+    EXPECT_EQ(got.makespanCycles, want.makespanCycles);
+    EXPECT_EQ(got.slotsGranted, want.slotsGranted);
+    ASSERT_EQ(got.tiles.size(), want.tiles.size());
+    for (std::size_t i = 0; i < want.tiles.size(); ++i) {
+        SCOPED_TRACE("tile " + std::to_string(i));
+        const TileSchedule &g = got.tiles[i];
+        const TileSchedule &w = want.tiles[i];
+        EXPECT_EQ(g.cycles, w.cycles);
+        EXPECT_EQ(g.stalls.data, w.stalls.data);
+        EXPECT_EQ(g.stalls.bandwidthWait, w.stalls.bandwidthWait);
+        EXPECT_EQ(g.makespanCycles, w.makespanCycles);
+        EXPECT_EQ(g.issued, w.issued);
+        EXPECT_EQ(g.slotsFetched, w.slotsFetched);
+    }
+}
+
+TEST(Arbiter, SingleTileAtItsFetchWidthIsTheSchedule)
+{
+    const RandomProgram p = makeRandomProgram(5);
+    const DependencyOracle oracle(*p.lattice, p.qubits(),
+                                  p.subCycles);
+    const DynamicScheduler sched(SchedulerConfig{});
+    const TileSchedule plan = sched.schedule(oracle, 2);
+    ArbitrationResult want;
+    want.tiles.push_back(plan);
+    want.makespanCycles = plan.makespanCycles;
+    want.slotsGranted = plan.slotsFetched;
+    expectSamePlan(
+        sched.arbitrate({&oracle}, {1}, sched.config().fetchWidth, 2),
+        want);
+}
+
+TEST(Arbiter, BandwidthBeyondDemandChangesNothing)
+{
+    // With a budget that covers every tile's full fetch width, no
+    // tile waits on another: each plan is its single-tile schedule.
+    MceConfig cfg;
+    cfg.distance = 3;
+    Mce mce("t", cfg);
+    const DependencyOracle &oracle = mce.dependencyOracle();
+    const DynamicScheduler sched(SchedulerConfig{});
+    const std::vector<const DependencyOracle *> tiles(3, &oracle);
+    const std::vector<std::uint8_t> active(3, 1);
+    const std::size_t demand = 3 * sched.config().fetchWidth;
+    const ArbitrationResult exact = sched.arbitrate(tiles, active, demand);
+    expectSamePlan(sched.arbitrate(tiles, active, 100 * demand), exact);
+    const TileSchedule alone = sched.schedule(oracle);
+    for (const TileSchedule &t : exact.tiles) {
+        EXPECT_EQ(t.cycles, alone.cycles);
+        EXPECT_EQ(t.makespanCycles, alone.makespanCycles);
+        EXPECT_EQ(t.stalls.bandwidthWait, 0u);
+    }
+}
+
+TEST(Arbiter, QuestbenchOverloadForwardsModeAndPolicy)
+{
+    MceConfig cfg;
+    cfg.distance = 3;
+    Mce mce("t", cfg);
+    const DependencyOracle &oracle = mce.dependencyOracle();
+    const DynamicScheduler sched(SchedulerConfig{});
+    const std::vector<const DependencyOracle *> tiles(2, &oracle);
+    expectSamePlan(
+        sched.arbitrate(tiles, {1, 1}, core::SchedulingMode::InOrder,
+                        4, ArbiterPolicy::RoundRobin, 2),
+        sched.arbitrate(tiles, {1, 1}, 4, 2));
+}
+
+TEST(Arbiter, RotatingPriorityServesIdenticalTilesEvenly)
+{
+    // Under contention identical tiles split the budget: none is
+    // starved, and the rotation keeps their finishing times within
+    // one grant rotation (one fetch burst per tile) of each other.
+    MceConfig cfg;
+    cfg.distance = 3;
+    Mce mce("t", cfg);
+    const DependencyOracle &oracle = mce.dependencyOracle();
+    const DynamicScheduler sched(SchedulerConfig{});
+    constexpr std::size_t n = 4;
+    const std::vector<const DependencyOracle *> tiles(n, &oracle);
+    const ArbitrationResult r = sched.arbitrate(
+        tiles, std::vector<std::uint8_t>(n, 1),
+        sched.config().fetchWidth, 2);
+    std::size_t lo = r.makespanCycles;
+    std::size_t hi = 0;
+    for (const TileSchedule &t : r.tiles) {
+        EXPECT_EQ(t.issued, oracle.uops().size() * 2);
+        EXPECT_GT(t.stalls.bandwidthWait, 0u);
+        lo = std::min(lo, t.makespanCycles);
+        hi = std::max(hi, t.makespanCycles);
+    }
+    EXPECT_LE(hi - lo, n);
+}
+
 // ---------------------------------------------------------------------------
-// End-to-end differential: in-order vs out-of-order Mce replay
+// The arbiter is observational only
 // ---------------------------------------------------------------------------
 
-/** FNV-1a over every architectural observable of one Mce run. */
+/** FNV-1a over the architectural observables of a master run. */
 struct Digest
 {
     std::uint64_t h = 1469598103934665603ull;
@@ -629,15 +737,6 @@ struct Digest
     }
 
     void
-    mixRound(const qecc::SyndromeRound &r)
-    {
-        for (const std::uint8_t b : r.xFlips)
-            mix(b);
-        for (const std::uint8_t b : r.zFlips)
-            mix(b);
-    }
-
-    void
     mixFrame(const quantum::PauliFrame &f)
     {
         for (std::size_t q = 0; q < f.numQubits(); ++q)
@@ -645,99 +744,14 @@ struct Digest
     }
 };
 
-/** Replay one randomized scenario and digest its observables. */
-std::uint64_t
-runScenario(MceConfig cfg, SchedulingMode mode, std::uint64_t seed)
-{
-    cfg.scheduling = mode;
-    sim::Rng rng(sim::Rng::deriveSeed(0xD1FFu, seed));
-    Mce mce("diff", cfg);
-    Digest d;
-
-    const std::size_t rounds = 3 + rng.uniformInt(5);
-    const bool with_logical = cfg.latticeRows > 0;
-    // One W == S window spanning the scenario: LUT then global
-    // matching, committed at the last round.
-    decode::StreamingDecoder streamer(mce.extractor(),
-                                      {rounds, rounds, {}});
-    std::size_t residual = 0;
-    for (std::size_t r = 0; r < rounds; ++r) {
-        const qecc::SyndromeRound &round = mce.runQeccRound();
-        d.mixRound(round);
-        if (auto commit = streamer.pushRound(round)) {
-            residual = commit->forwardedEvents;
-            mce.applyCorrection(commit->correction);
-        }
-        if (with_logical && r == 1) {
-            // Mid-stream mask rebuild: the scheduler must re-plan.
-            const int id = mce.defineLogicalQubit(Coord{2, 2});
-            d.mix(std::uint64_t(id));
-        }
-        if (with_logical && r == rounds - 1
-            && mce.logicalQubitCount() > 0)
-            mce.executeLogical({isa::LogicalOpcode::Hadamard, 0});
-    }
-    d.mix(residual);
-    d.mixFrame(mce.frame());
-    d.mixFrame(mce.correctionLedger());
-    d.mix(std::uint64_t(mce.microcodeBitsStreamed()));
-    d.mix(std::uint64_t(mce.qeccUopsIssued()));
-    d.mix(mce.residualErrorWeight());
-    d.mix(mce.roundsRun());
-    return d.h;
-}
-
-/**
- * The tentpole differential: >= 200 randomized scenarios per
- * microcode design (distance, protocol, noise, logical activity all
- * drawn from the seed), each replayed through both pipelines. Every
- * architectural observable must be bit-identical.
- */
-TEST(ReplayEquivalence, InOrderAndOutOfOrderAreBitIdentical)
-{
-    for (const core::MicrocodeDesign design :
-         core::allMicrocodeDesigns) {
-        for (std::uint64_t seed = 0; seed < 70; ++seed) {
-            sim::Rng rng(sim::Rng::deriveSeed(0xC0DEu, seed));
-            MceConfig cfg;
-            cfg.distance = rng.bernoulli(0.7) ? 3 : 5;
-            if (rng.bernoulli(0.3)) {
-                // A logical-activity scenario: a tile sized for a
-                // defect pair, with a mid-run mask rebuild.
-                cfg = core::tileConfigForLogicalQubits(cfg.distance);
-            }
-            cfg.protocol = qecc::allProtocols[rng.uniformInt(
-                std::size(qecc::allProtocols))];
-            cfg.microcodeDesign = design;
-            cfg.seed = 1000 + seed;
-            if (rng.bernoulli(0.7))
-                cfg.errorRates = quantum::ErrorRates::uniform(
-                    rng.bernoulli(0.5) ? 1e-3 : 5e-3);
-            if (rng.bernoulli(0.2))
-                cfg.maskLayout = core::MaskLayout::Coalesced;
-
-            const std::uint64_t in_digest = runScenario(
-                cfg, SchedulingMode::InOrder, seed);
-            const std::uint64_t ooo_digest = runScenario(
-                cfg, SchedulingMode::OutOfOrder, seed);
-            EXPECT_EQ(in_digest, ooo_digest)
-                << "design "
-                << core::microcodeDesignName(design) << " seed "
-                << seed;
-        }
-    }
-}
-
 TEST(ReplayEquivalence, MasterControllerObservablesMatch)
 {
-    const auto run = [](SchedulingMode mode,
-                        std::size_t shared_bw) {
+    const auto run = [](std::size_t shared_bw) {
         core::MasterConfig cfg;
         cfg.numMces = 2;
         cfg.mce.distance = 3;
         cfg.mce.errorRates = quantum::ErrorRates::uniform(1e-3);
         cfg.mce.seed = 7;
-        cfg.mce.scheduling = mode;
         cfg.sharedFetchBandwidth = shared_bw;
         core::MasterController master(cfg);
         master.runRounds(9);
@@ -756,14 +770,9 @@ TEST(ReplayEquivalence, MasterControllerObservablesMatch)
         return d.h;
     };
 
-    const std::uint64_t in_digest =
-        run(SchedulingMode::InOrder, 0);
-    // OoO replay: identical observables.
-    EXPECT_EQ(run(SchedulingMode::OutOfOrder, 0), in_digest);
     // The bandwidth arbiter is observational only: turning it on
-    // must not perturb a single architectural byte, in either mode.
-    EXPECT_EQ(run(SchedulingMode::InOrder, 8), in_digest);
-    EXPECT_EQ(run(SchedulingMode::OutOfOrder, 8), in_digest);
+    // must not perturb a single architectural byte.
+    EXPECT_EQ(run(8), run(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -776,7 +785,6 @@ arbitratedMaster(std::size_t mces, std::size_t shared_bw)
     core::MasterConfig cfg;
     cfg.numMces = mces;
     cfg.mce.distance = 3;
-    cfg.mce.scheduling = SchedulingMode::OutOfOrder;
     cfg.sharedFetchBandwidth = shared_bw;
     return cfg;
 }
@@ -810,7 +818,6 @@ TEST(ArbiterIntegration, HungTileRunsNoRoundsAndDemandsNoBandwidth)
 TEST(ArbiterIntegration, QuarantinedTileRejoinsTheGrantRotation)
 {
     core::MasterConfig cfg = arbitratedMaster(2, 4);
-    cfg.arbiterPolicy = ArbiterPolicy::OldestFirst;
     cfg.heartbeatIntervalRounds = 4;
     cfg.watchdogMissThreshold = 2;
     core::MasterController master(cfg);
@@ -839,10 +846,7 @@ struct SchedTotals
     std::uint64_t issued = 0;
     std::uint64_t cycles = 0;
     std::uint64_t stallData = 0;
-    std::uint64_t stallQueueFull = 0;
-    std::uint64_t stallFetch = 0;
     std::uint64_t stallBandwidth = 0;
-    std::uint64_t occupancySamples = 0;
 
     bool operator==(const SchedTotals &) const = default;
 
@@ -854,10 +858,7 @@ struct SchedTotals
         issued += t.issued;
         cycles += t.cycles.size();
         stallData += t.stalls.data;
-        stallQueueFull += t.stalls.queueFull;
-        stallFetch += t.stalls.fetchStarved;
         stallBandwidth += t.stalls.bandwidthWait;
-        occupancySamples += t.cycles.empty() ? 0 : 1;
     }
 
     static SchedTotals
@@ -872,11 +873,7 @@ struct SchedTotals
         t.issued = c("sched.issued");
         t.cycles = c("sched.cycles");
         t.stallData = c("sched.stall.data");
-        t.stallQueueFull = c("sched.stall.queue_full");
-        t.stallFetch = c("sched.stall.fetch");
         t.stallBandwidth = c("sched.stall.bandwidth");
-        t.occupancySamples =
-            reg.histogram("sched.queue_occupancy", "").count();
         return t;
     }
 
@@ -887,10 +884,7 @@ struct SchedTotals
                  issued - b.issued,
                  cycles - b.cycles,
                  stallData - b.stallData,
-                 stallQueueFull - b.stallQueueFull,
-                 stallFetch - b.stallFetch,
-                 stallBandwidth - b.stallBandwidth,
-                 occupancySamples - b.occupancySamples };
+                 stallBandwidth - b.stallBandwidth };
     }
 };
 
@@ -904,27 +898,48 @@ tileBwWait(std::size_t tile)
         .value();
 }
 
-void
-expectSamePlan(const ArbitrationResult &got,
-               const ArbitrationResult &want)
+TEST(SchedulerMetrics, ScheduleRecordsItsPlan)
 {
-    EXPECT_EQ(got.makespanCycles, want.makespanCycles);
-    EXPECT_EQ(got.slotsGranted, want.slotsGranted);
-    ASSERT_EQ(got.tiles.size(), want.tiles.size());
-    for (std::size_t i = 0; i < want.tiles.size(); ++i) {
-        SCOPED_TRACE("tile " + std::to_string(i));
-        const TileSchedule &g = got.tiles[i];
-        const TileSchedule &w = want.tiles[i];
-        EXPECT_EQ(g.cycles, w.cycles);
-        EXPECT_EQ(g.stalls.data, w.stalls.data);
-        EXPECT_EQ(g.stalls.queueFull, w.stalls.queueFull);
-        EXPECT_EQ(g.stalls.fetchStarved, w.stalls.fetchStarved);
-        EXPECT_EQ(g.stalls.bandwidthWait, w.stalls.bandwidthWait);
-        EXPECT_EQ(g.occupancySum, w.occupancySum);
-        EXPECT_EQ(g.makespanCycles, w.makespanCycles);
-        EXPECT_EQ(g.issued, w.issued);
-        EXPECT_EQ(g.slotsFetched, w.slotsFetched);
-    }
+    const RandomProgram p = makeRandomProgram(11);
+    const DependencyOracle oracle(*p.lattice, p.qubits(),
+                                  p.subCycles);
+    SchedulerConfig cfg;
+    cfg.fetchWidth = 32; // latency-bound: sched.stall.data moves
+    const DynamicScheduler sched(cfg);
+    const SchedTotals before = SchedTotals::read();
+    const TileSchedule plan = sched.schedule(oracle, 3);
+    SchedTotals want;
+    want.add(plan);
+    EXPECT_EQ(SchedTotals::read().since(before), want);
+    EXPECT_GT(want.stallData, 0u);
+}
+
+TEST(SchedulerMetrics, RecordCountsOnePlanPerTile)
+{
+    MceConfig mcfg;
+    mcfg.distance = 3;
+    Mce mce("t", mcfg);
+    const DependencyOracle &oracle = mce.dependencyOracle();
+    const DynamicScheduler sched(SchedulerConfig{});
+    const std::vector<const DependencyOracle *> tiles(3, &oracle);
+
+    SchedTotals before = SchedTotals::read();
+    const ArbitrationResult plan =
+        sched.arbitrate(tiles, {1, 0, 1}, 4);
+    const SchedTotals arbitrated = SchedTotals::read().since(before);
+    SchedTotals want;
+    for (const TileSchedule &t : plan.tiles)
+        want.add(t);
+    EXPECT_EQ(arbitrated, want);
+    // A hung tile still counts as one (empty) plan.
+    EXPECT_EQ(arbitrated.plans, 3u);
+    EXPECT_GT(arbitrated.stallBandwidth, 0u);
+
+    // Replaying the plan through record() moves the metrics exactly
+    // as the arbitration that produced it did.
+    before = SchedTotals::read();
+    sched.record(plan);
+    EXPECT_EQ(SchedTotals::read().since(before), arbitrated);
 }
 
 /**
@@ -936,88 +951,59 @@ expectSamePlan(const ArbitrationResult &got,
  */
 TEST(ArbiterIntegration, CachedPlanEqualsFreshArbitration)
 {
-    for (const SchedulingMode mode :
-         { SchedulingMode::InOrder, SchedulingMode::OutOfOrder }) {
-        for (const ArbiterPolicy policy :
-             { ArbiterPolicy::RoundRobin,
-               ArbiterPolicy::OldestFirst }) {
-            SCOPED_TRACE(core::schedulingModeName(mode) + " / "
-                         + core::arbiterPolicyName(policy));
-            core::MasterConfig cfg = arbitratedMaster(4, 8);
-            cfg.mce = core::tileConfigForLogicalQubits(3);
-            cfg.mce.scheduling = mode;
-            cfg.arbiterPolicy = policy;
-            cfg.watchdogMissThreshold = 2;
-            core::MasterController master(cfg);
-            const DynamicScheduler fresh_arbiter(cfg.mce.sched);
+    core::MasterConfig cfg = arbitratedMaster(4, 8);
+    cfg.mce = core::tileConfigForLogicalQubits(3);
+    cfg.watchdogMissThreshold = 2;
+    core::MasterController master(cfg);
+    const DynamicScheduler fresh_arbiter(cfg.mce.sched);
 
-            // Generation each tile's out-of-order issue plan was made
-            // for: a tile re-plans (and records that plan too) on
-            // its first replay after a program change.
-            std::vector<std::uint64_t> issue_plan_gen(4, 0);
-            for (std::size_t r = 0; r < 24; ++r) {
-                SCOPED_TRACE("round " + std::to_string(r));
-                if (r == 4)
-                    master.mce(1).wedge();
-                if (r == 9) {
-                    // Two missed heartbeats: quarantine and resume.
-                    master.heartbeatNow();
-                    master.heartbeatNow();
-                    ASSERT_EQ(master.resumeCount(), 1.0);
-                    ASSERT_FALSE(master.mce(1).hung());
-                }
-                if (r == 14) {
-                    Mce &tile = master.mce(2);
-                    const std::uint64_t gen = tile.programGeneration();
-                    const int id = tile.defineLogicalQubit(Coord{2, 2});
-                    tile.executeLogical(isa::LogicalInstr{
-                        isa::LogicalOpcode::MaskMove,
-                        std::uint16_t(id) });
-                    ASSERT_EQ(tile.programGeneration(), gen + 2);
-                }
-
-                std::vector<std::size_t> rounds_before;
-                std::vector<std::uint64_t> wait_before;
-                for (std::size_t i = 0; i < 4; ++i) {
-                    rounds_before.push_back(master.mce(i).roundsRun());
-                    wait_before.push_back(tileBwWait(i));
-                }
-                const SchedTotals before = SchedTotals::read();
-                master.stepRound();
-                const SchedTotals recorded =
-                    SchedTotals::read().since(before);
-                std::vector<std::uint64_t> waits;
-                for (std::size_t i = 0; i < 4; ++i)
-                    waits.push_back(tileBwWait(i) - wait_before[i]);
-
-                SchedTotals expected;
-                std::vector<const DependencyOracle *> oracles;
-                std::vector<std::uint8_t> active;
-                for (std::size_t i = 0; i < 4; ++i) {
-                    Mce &tile = master.mce(i);
-                    if (mode == SchedulingMode::OutOfOrder
-                        && tile.roundsRun() > rounds_before[i]
-                        && tile.programGeneration()
-                            != issue_plan_gen[i]) {
-                        expected.add(tile.lastIssuePlan());
-                        issue_plan_gen[i] = tile.programGeneration();
-                    }
-                    oracles.push_back(&tile.dependencyOracle());
-                    active.push_back(tile.hung() ? 0 : 1);
-                }
-                const ArbitrationResult fresh = fresh_arbiter.arbitrate(
-                    oracles, active, mode, cfg.sharedFetchBandwidth,
-                    policy, 1);
-                expectSamePlan(master.lastArbitration(), fresh);
-                for (std::size_t i = 0; i < 4; ++i) {
-                    expected.add(fresh.tiles[i]);
-                    EXPECT_EQ(waits[i],
-                              fresh.tiles[i].stalls.bandwidthWait)
-                        << "tile " << i;
-                }
-                EXPECT_EQ(recorded, expected);
-            }
+    for (std::size_t r = 0; r < 24; ++r) {
+        SCOPED_TRACE("round " + std::to_string(r));
+        if (r == 4)
+            master.mce(1).wedge();
+        if (r == 9) {
+            // Two missed heartbeats: quarantine and resume.
+            master.heartbeatNow();
+            master.heartbeatNow();
+            ASSERT_EQ(master.resumeCount(), 1.0);
+            ASSERT_FALSE(master.mce(1).hung());
         }
+        if (r == 14) {
+            Mce &tile = master.mce(2);
+            const std::uint64_t gen = tile.programGeneration();
+            const int id = tile.defineLogicalQubit(Coord{2, 2});
+            tile.executeLogical(isa::LogicalInstr{
+                isa::LogicalOpcode::MaskMove, std::uint16_t(id) });
+            ASSERT_EQ(tile.programGeneration(), gen + 2);
+        }
+
+        std::vector<std::uint64_t> wait_before;
+        for (std::size_t i = 0; i < 4; ++i)
+            wait_before.push_back(tileBwWait(i));
+        const SchedTotals before = SchedTotals::read();
+        master.stepRound();
+        const SchedTotals recorded = SchedTotals::read().since(before);
+        std::vector<std::uint64_t> waits;
+        for (std::size_t i = 0; i < 4; ++i)
+            waits.push_back(tileBwWait(i) - wait_before[i]);
+
+        std::vector<const DependencyOracle *> oracles;
+        std::vector<std::uint8_t> active;
+        for (std::size_t i = 0; i < 4; ++i) {
+            Mce &tile = master.mce(i);
+            oracles.push_back(&tile.dependencyOracle());
+            active.push_back(tile.hung() ? 0 : 1);
+        }
+        const ArbitrationResult fresh = fresh_arbiter.arbitrate(
+            oracles, active, cfg.sharedFetchBandwidth);
+        expectSamePlan(master.lastArbitration(), fresh);
+        SchedTotals expected;
+        for (std::size_t i = 0; i < 4; ++i) {
+            expected.add(fresh.tiles[i]);
+            EXPECT_EQ(waits[i], fresh.tiles[i].stalls.bandwidthWait)
+                << "tile " << i;
+        }
+        EXPECT_EQ(recorded, expected);
     }
 }
 
@@ -1099,10 +1085,7 @@ TEST(ArbiterIntegration, GoldenTotalsFourTiles)
     EXPECT_EQ(recorded.issued, 341600u);
     EXPECT_EQ(recorded.cycles, 700800u);
     EXPECT_EQ(recorded.stallData, 0u);
-    EXPECT_EQ(recorded.stallQueueFull, 0u);
-    EXPECT_EQ(recorded.stallFetch, 0u);
     EXPECT_EQ(recorded.stallBandwidth, 347200u);
-    EXPECT_EQ(recorded.occupancySamples, 800u);
 
     // Latches differ by tile: transverse instructions latch their
     // footprints one qubit at a time.
@@ -1114,62 +1097,6 @@ TEST(ArbiterIntegration, GoldenTotalsFourTiles)
         EXPECT_EQ(xu.firedInstructionCount(), 85400.0);
         EXPECT_EQ(xu.masterClockCount(), 1400.0);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Mce scheduler surface
-// ---------------------------------------------------------------------------
-
-TEST(MceScheduler, LastIssuePlanRequiresAnOutOfOrderRound)
-{
-    MceConfig cfg;
-    cfg.distance = 3;
-    Mce in_order("t", cfg);
-    EXPECT_THROW(in_order.lastIssuePlan(), sim::SimError);
-
-    cfg.scheduling = SchedulingMode::OutOfOrder;
-    Mce ooo("t2", cfg);
-    ooo.runQeccRound();
-    const TileSchedule &plan = ooo.lastIssuePlan();
-    EXPECT_EQ(plan.issued,
-              std::size_t(ooo.qeccUopsIssued()));
-    // The plan covers every stream slot's fetch.
-    EXPECT_EQ(plan.slotsFetched,
-              ooo.baseSchedule().totalUopSlots());
-}
-
-TEST(MceScheduler, MaskRebuildInvalidatesThePlan)
-{
-    MceConfig cfg = core::tileConfigForLogicalQubits(3);
-    cfg.scheduling = SchedulingMode::OutOfOrder;
-    Mce mce("t", cfg);
-    mce.runQeccRound();
-    const std::size_t before = mce.lastIssuePlan().issued;
-    mce.defineLogicalQubit(Coord{2, 2});
-    mce.runQeccRound();
-    // Masked qubits dropped out of the program: fewer uops planned.
-    EXPECT_LT(mce.lastIssuePlan().issued, before);
-}
-
-TEST(MceScheduler, SchedulerMetricsAccumulate)
-{
-    auto &reg = sim::metrics::Registry::global();
-    const double rounds0 =
-        reg.counter("sched.replay.rounds", "").value();
-    const double issued0 = reg.counter("sched.issued", "").value();
-
-    MceConfig cfg;
-    cfg.distance = 3;
-    cfg.scheduling = SchedulingMode::OutOfOrder;
-    Mce mce("t", cfg);
-    mce.runQeccRound();
-    mce.runQeccRound();
-
-    EXPECT_EQ(reg.counter("sched.replay.rounds", "").value(),
-              rounds0 + 2.0);
-    // One plan served both rounds (no mask change in between).
-    EXPECT_GE(reg.counter("sched.issued", "").value(),
-              issued0 + mce.qeccUopsIssued() / 2.0);
 }
 
 } // namespace

@@ -324,8 +324,8 @@ TEST(StreamingMaster, MatchesOfflineReferenceDecode)
         bool arbitrated;
     };
     // 9 rounds are three whole windows; 7 leave one round buffered
-    // for decodeNow(). Out-of-order issue and the bandwidth arbiter
-    // must not perturb the decode.
+    // for decodeNow(). The bandwidth arbiter must not perturb the
+    // decode.
     for (const Case c : { Case{ 9, false, false }, Case{ 9, false, true },
                           Case{ 7, true, false },
                           Case{ 7, true, true } }) {
@@ -335,10 +335,8 @@ TEST(StreamingMaster, MatchesOfflineReferenceDecode)
         cfg.mce.errorRates =
             quest::quantum::ErrorRates{2e-2, 0, 0, 0, 2e-2};
         cfg.decodeWindowRounds = 3;
-        if (c.arbitrated) {
-            cfg.mce.scheduling = SchedulingMode::OutOfOrder;
+        if (c.arbitrated)
             cfg.sharedFetchBandwidth = 4;
-        }
         MasterController master(cfg);
         master.runRounds(c.rounds);
         if (c.flush) {

@@ -2,24 +2,23 @@
  * @file
  * Soundness and tightness harness for the static timing oracle.
  *
- * The contract under test (the PR's headline artifact): for every
- * program, mode, pipeline shape and fetch grant, the TimingOracle's
- * static worst-case bound is NEVER below what the dynamic
- * scheduler actually does — checked by differential fuzzing over
- * the same seeded random-program corpus the replay-equivalence
- * harness trusts — while staying within 1.5x of the observed
- * cycles on every shipped protocol x design configuration (so the
- * bound is a usable admission signal, not just a true one).
+ * The contract under test: for every program, fetch width and
+ * fetch grant, the TimingOracle's static worst-case bound is NEVER
+ * below what the dynamic scheduler actually does — checked by
+ * differential fuzzing over the same seeded random-program corpus
+ * the scheduler harness trusts — while staying within 1.5x of the
+ * observed cycles on every shipped protocol x design configuration
+ * (so the bound is a usable admission signal, not just a true one).
  *
  * Four batteries:
  *  1. model pins: latency constants, grant-window arithmetic, and
- *     the in-order bound's exactness (closed form == makespan);
- *  2. single-tile soundness fuzz: 500+ random programs x designs x
- *     both modes x pipeline shapes, bound >= observed cycles and
- *     makespan in every case;
+ *     the bound's exactness (closed form == makespan);
+ *  2. single-tile soundness fuzz: 500 random programs x designs x
+ *     fetch widths, bound >= observed cycles and makespan in every
+ *     case;
  *  3. contended soundness fuzz: N homogeneous tiles arbitrated
- *     over shared bandwidth under both policies, the contended
- *     grant bound covers every tile's observed schedule;
+ *     over shared bandwidth, the contended grant bound covers every
+ *     tile's observed schedule;
  *  4. admission: admitTiles() accepts every shipped single-tile
  *     config against its real syndrome deadline and rejects
  *     overcommitted / starved co-residency sets.
@@ -45,10 +44,8 @@
 namespace {
 
 using namespace quest;
-using core::ArbiterPolicy;
 using core::DynamicScheduler;
 using core::SchedulerConfig;
-using core::SchedulingMode;
 using core::TileSchedule;
 using isa::PhysOpcode;
 using testutil::RandomProgram;
@@ -109,30 +106,26 @@ TEST(TimingModel, MaxUopLatencyConstantPinsTheLatencyTable)
 TEST(TimingModel, WorstCaseGrantWindows)
 {
     // Uncontended: the tile gets its full width every cycle.
-    const FetchGrant solo = verify::worstCaseGrant(
-        1, 4, 16, ArbiterPolicy::RoundRobin);
+    const FetchGrant solo = verify::worstCaseGrant(1, 4, 16);
     EXPECT_EQ(solo.slots, 4u);
     EXPECT_EQ(solo.cycles, 1u);
 
     // Bandwidth covers every tile's width: no contention at all.
-    const FetchGrant wide = verify::worstCaseGrant(
-        4, 4, 16, ArbiterPolicy::RoundRobin);
+    const FetchGrant wide = verify::worstCaseGrant(4, 4, 16);
     EXPECT_EQ(wide.slots, 16u);
     EXPECT_EQ(wide.cycles, 4u);
     EXPECT_DOUBLE_EQ(wide.rate(), 4.0);
 
     // Bandwidth equals one tile's width: only the priority cycle
     // delivers, so the rate divides by the tile count.
-    const FetchGrant tight = verify::worstCaseGrant(
-        4, 4, 4, ArbiterPolicy::OldestFirst);
+    const FetchGrant tight = verify::worstCaseGrant(4, 4, 4);
     EXPECT_EQ(tight.slots, 4u);
     EXPECT_EQ(tight.cycles, 4u);
     EXPECT_DOUBLE_EQ(tight.rate(), 1.0);
 
     // Partial leftover: B=6, f=4, N=2 -> priority cycle 4 plus
     // min(4, 6-4)=2 on the other cycle.
-    const FetchGrant partial = verify::worstCaseGrant(
-        2, 4, 6, ArbiterPolicy::RoundRobin);
+    const FetchGrant partial = verify::worstCaseGrant(2, 4, 6);
     EXPECT_EQ(partial.slots, 6u);
     EXPECT_EQ(partial.cycles, 2u);
 }
@@ -147,10 +140,8 @@ TEST(TimingModel, InOrderBoundIsExactOnRandomPrograms)
         const RandomProgram p = makeRandomProgram(seed);
         const DependencyOracle dep = oracleFor(p);
         const std::size_t rounds = 1 + seed % 3;
-        const TimingBound b = oracle.bound(
-            dep, SchedulingMode::InOrder, rounds);
-        const TileSchedule dyn = sched.schedule(
-            dep, SchedulingMode::InOrder, rounds);
+        const TimingBound b = oracle.bound(dep, rounds);
+        const TileSchedule dyn = sched.schedule(dep, rounds);
         EXPECT_EQ(b.totalBoundCycles, dyn.makespanCycles)
             << "seed " << seed;
     }
@@ -161,16 +152,11 @@ TEST(TimingModel, BoundTiersAreOrdered)
     for (std::uint64_t seed = 0; seed < 25; ++seed) {
         const RandomProgram p = makeRandomProgram(seed);
         const DependencyOracle dep = oracleFor(p);
-        for (const SchedulingMode mode :
-             {SchedulingMode::InOrder, SchedulingMode::OutOfOrder}) {
-            const TimingBound b =
-                TimingOracle{SchedulerConfig{}}.bound(dep, mode, 2);
-            EXPECT_LE(b.criticalPathCycles, b.widthBoundCycles);
-            EXPECT_LE(b.widthBoundCycles, b.totalBoundCycles);
-            EXPECT_EQ(b.slotsPerRound,
-                      dep.depth() * dep.numQubits());
-            EXPECT_EQ(b.uopsPerRound, dep.uops().size());
-        }
+        const TimingBound b =
+            TimingOracle{SchedulerConfig{}}.bound(dep, 2);
+        EXPECT_LE(b.criticalPathCycles, b.totalBoundCycles);
+        EXPECT_EQ(b.slotsPerRound, dep.depth() * dep.numQubits());
+        EXPECT_EQ(b.uopsPerRound, dep.uops().size());
     }
 }
 
@@ -180,16 +166,16 @@ TEST(TimingModel, BoundTiersAreOrdered)
 
 TEST(TimingSoundness, FuzzBoundCoversDynamicScheduler)
 {
-    // 500 seeds x 2 modes x 4 pipeline shapes, and the static
-    // bound is checked for all three design expansions of each
-    // program (the images are equivalence-verified, so their
-    // oracles must agree — this pins that the bound is a property
-    // of the program, not of the storage design).
+    // 500 seeds x 4 fetch widths, and the static bound is checked
+    // for all three design expansions of each program (the images
+    // are equivalence-verified, so their oracles must agree — this
+    // pins that the bound is a property of the program, not of the
+    // storage design).
     const SchedulerConfig shapes[] = {
-        SchedulerConfig{},                  // shipped default
-        SchedulerConfig{1, 4, 32},          // fetch-starved
-        SchedulerConfig{4, 1, 2},           // issue-starved, tiny queue
-        SchedulerConfig{8, 2, 4},           // wide fetch, shallow queue
+        SchedulerConfig{},  // shipped default
+        SchedulerConfig{1}, // fetch-starved
+        SchedulerConfig{2},
+        SchedulerConfig{8}, // wide fetch
     };
     std::size_t checked = 0;
     for (std::uint64_t seed = 0; seed < 500; ++seed) {
@@ -208,29 +194,17 @@ TEST(TimingSoundness, FuzzBoundCoversDynamicScheduler)
 
         const std::size_t rounds = 1 + seed % 3;
         for (const SchedulerConfig &cfg : shapes) {
-            const DynamicScheduler sched{cfg};
-            const TimingOracle oracle{cfg};
-            for (const SchedulingMode mode :
-                 {SchedulingMode::InOrder,
-                  SchedulingMode::OutOfOrder}) {
-                const TimingBound b =
-                    oracle.bound(dep, mode, rounds);
-                const TileSchedule dyn =
-                    sched.schedule(dep, mode, rounds);
-                EXPECT_GE(b.totalBoundCycles, dyn.cycles.size())
-                    << "seed " << seed << " mode "
-                    << core::schedulingModeName(mode)
-                    << " fetch " << cfg.fetchWidth << " issue "
-                    << cfg.issueWidth << " queue "
-                    << cfg.queueCapacity;
-                EXPECT_GE(b.totalBoundCycles, dyn.makespanCycles)
-                    << "seed " << seed << " mode "
-                    << core::schedulingModeName(mode);
-                ++checked;
-            }
+            const TimingBound b = TimingOracle{cfg}.bound(dep, rounds);
+            const TileSchedule dyn =
+                DynamicScheduler{cfg}.schedule(dep, rounds);
+            EXPECT_GE(b.totalBoundCycles, dyn.cycles.size())
+                << "seed " << seed << " fetch " << cfg.fetchWidth;
+            EXPECT_GE(b.totalBoundCycles, dyn.makespanCycles)
+                << "seed " << seed << " fetch " << cfg.fetchWidth;
+            ++checked;
         }
     }
-    EXPECT_GE(checked, 500u * 2u * 4u);
+    EXPECT_GE(checked, 500u * 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,8 +215,8 @@ TEST(TimingSoundness, ContendedGrantCoversArbitratedTiles)
 {
     // N homogeneous copies of a random program share the fetch
     // substrate; the window-model bound must cover every tile's
-    // observed schedule under both arbiter policies, at bandwidth
-    // equal to one tile's width (full contention) and double it.
+    // observed schedule at bandwidth equal to one tile's width (full
+    // contention) and double it.
     const SchedulerConfig cfg{};
     const DynamicScheduler sched{cfg};
     const TimingOracle oracle{cfg};
@@ -252,38 +226,24 @@ TEST(TimingSoundness, ContendedGrantCoversArbitratedTiles)
         const std::size_t rounds = 1 + seed % 2;
         for (const std::size_t n : {std::size_t(2), std::size_t(4)})
             for (const std::size_t bw :
-                 {cfg.fetchWidth, 2 * cfg.fetchWidth})
-                for (const ArbiterPolicy policy :
-                     {ArbiterPolicy::RoundRobin,
-                      ArbiterPolicy::OldestFirst})
-                    for (const SchedulingMode mode :
-                         {SchedulingMode::InOrder,
-                          SchedulingMode::OutOfOrder}) {
-                        const FetchGrant grant =
-                            verify::worstCaseGrant(
-                                n, cfg.fetchWidth, bw, policy);
-                        const TimingBound b = oracle.bound(
-                            dep, mode, rounds, grant);
-                        const std::vector<const DependencyOracle *>
-                            tiles(n, &dep);
-                        const std::vector<std::uint8_t> active(
-                            n, 1);
-                        const core::ArbitrationResult r =
-                            sched.arbitrate(tiles, active, mode,
-                                            bw, policy, rounds);
-                        for (std::size_t i = 0; i < n; ++i) {
-                            EXPECT_GE(b.totalBoundCycles,
-                                      r.tiles[i].cycles.size())
-                                << "seed " << seed << " n " << n
-                                << " bw " << bw << " tile " << i
-                                << " mode "
-                                << core::schedulingModeName(mode)
-                                << " policy "
-                                << core::arbiterPolicyName(policy);
-                            EXPECT_GE(b.totalBoundCycles,
-                                      r.tiles[i].makespanCycles);
-                        }
-                    }
+                 {cfg.fetchWidth, 2 * cfg.fetchWidth}) {
+                const FetchGrant grant =
+                    verify::worstCaseGrant(n, cfg.fetchWidth, bw);
+                const TimingBound b = oracle.bound(dep, rounds, grant);
+                const std::vector<const DependencyOracle *> tiles(
+                    n, &dep);
+                const std::vector<std::uint8_t> active(n, 1);
+                const core::ArbitrationResult r =
+                    sched.arbitrate(tiles, active, bw, rounds);
+                for (std::size_t i = 0; i < n; ++i) {
+                    EXPECT_GE(b.totalBoundCycles,
+                              r.tiles[i].cycles.size())
+                        << "seed " << seed << " n " << n << " bw "
+                        << bw << " tile " << i;
+                    EXPECT_GE(b.totalBoundCycles,
+                              r.tiles[i].makespanCycles);
+                }
+            }
     }
 }
 
@@ -305,28 +265,21 @@ TEST(TimingTightness, ShippedConfigsWithinOneAndAHalf)
             const verify::TileBundle bundle =
                 verify::buildTileBundle(mce);
             const DependencyOracle dep = oracleFor(bundle);
-            for (const SchedulingMode mode :
-                 {SchedulingMode::InOrder,
-                  SchedulingMode::OutOfOrder}) {
-                const TimingBound b = oracle.bound(dep, mode, 1);
-                const TileSchedule dyn =
-                    sched.schedule(dep, mode, 1);
-                const std::size_t observed = dyn.cycles.size();
-                ASSERT_GT(observed, 0u);
-                EXPECT_GE(b.totalBoundCycles, observed);
-                EXPECT_LE(double(b.totalBoundCycles),
-                          1.5 * double(observed))
-                    << qecc::protocolSpec(protocol).name << " x "
-                    << core::microcodeDesignName(design) << " x "
-                    << core::schedulingModeName(mode)
-                    << ": bound " << b.totalBoundCycles
-                    << " vs observed " << observed;
-            }
+            const TimingBound b = oracle.bound(dep, 1);
+            const std::size_t observed =
+                sched.schedule(dep, 1).cycles.size();
+            ASSERT_GT(observed, 0u);
+            EXPECT_GE(b.totalBoundCycles, observed);
+            EXPECT_LE(double(b.totalBoundCycles),
+                      1.5 * double(observed))
+                << qecc::protocolSpec(protocol).name << " x "
+                << core::microcodeDesignName(design) << ": bound "
+                << b.totalBoundCycles << " vs observed " << observed;
         }
 }
 
 // ---------------------------------------------------------------------------
-// Admission (ROADMAP item 1's static hook)
+// Admission
 // ---------------------------------------------------------------------------
 
 TEST(AdmitTiles, AdmitsEveryShippedSingleTileConfig)
@@ -343,9 +296,8 @@ TEST(AdmitTiles, AdmitsEveryShippedSingleTileConfig)
             const std::size_t deadline = deadlineCyclesFor(
                 qecc::protocolSpec(protocol), technology);
             const verify::AdmissionDecision d = verify::admitTiles(
-                {{&dep, SchedulingMode::InOrder, deadline}},
-                SchedulerConfig{}, SchedulerConfig{}.fetchWidth,
-                ArbiterPolicy::RoundRobin);
+                {{&dep, deadline}}, SchedulerConfig{},
+                SchedulerConfig{}.fetchWidth);
             EXPECT_TRUE(d.admitted)
                 << qecc::protocolSpec(protocol).name << " x "
                 << tech::technologyName(technology) << ": "
@@ -360,10 +312,9 @@ TEST(AdmitTiles, RejectsAggregateOvercommit)
     const DependencyOracle dep = oracleFor(p);
     // 16 tenants, each demanding its full round every 100 cycles,
     // on a single shared fetch slot: hopeless.
-    std::vector<verify::TileTimingRequest> tiles(
-        16, {&dep, SchedulingMode::InOrder, 100});
-    const verify::AdmissionDecision d = verify::admitTiles(
-        tiles, SchedulerConfig{}, 1, ArbiterPolicy::RoundRobin);
+    std::vector<verify::TileTimingRequest> tiles(16, {&dep, 100});
+    const verify::AdmissionDecision d =
+        verify::admitTiles(tiles, SchedulerConfig{}, 1);
     EXPECT_FALSE(d.admitted);
     EXPECT_GT(d.aggregateDemand, 1.0);
     EXPECT_NE(d.reason.find("overcommit"), std::string::npos)
@@ -380,10 +331,9 @@ TEST(AdmitTiles, RejectsPhasingStarvation)
     // cycles, stretching the round past the tight deadline.
     const std::size_t slots = dep.depth() * dep.numQubits();
     const std::size_t deadline = 2 * slots / 8 * 8;
-    std::vector<verify::TileTimingRequest> tiles(
-        8, {&dep, SchedulingMode::InOrder, deadline});
-    const verify::AdmissionDecision d = verify::admitTiles(
-        tiles, SchedulerConfig{}, 8, ArbiterPolicy::RoundRobin);
+    std::vector<verify::TileTimingRequest> tiles(8, {&dep, deadline});
+    const verify::AdmissionDecision d =
+        verify::admitTiles(tiles, SchedulerConfig{}, 8);
     EXPECT_LE(d.aggregateDemand, 8.0);
     EXPECT_FALSE(d.admitted);
     EXPECT_NE(d.reason.find("starvation"), std::string::npos)
@@ -392,8 +342,8 @@ TEST(AdmitTiles, RejectsPhasingStarvation)
 
 TEST(AdmitTiles, EmptySetIsAdmitted)
 {
-    const verify::AdmissionDecision d = verify::admitTiles(
-        {}, SchedulerConfig{}, 4, ArbiterPolicy::RoundRobin);
+    const verify::AdmissionDecision d =
+        verify::admitTiles({}, SchedulerConfig{}, 4);
     EXPECT_TRUE(d.admitted);
     EXPECT_EQ(d.aggregateDemand, 0.0);
 }

@@ -323,28 +323,6 @@ const Corruption kCorruptions[] = {
          b.artifacts.timing.deadlineCycles = 60;
      }},
 
-    {"one-deep issue queue at the width-tier deadline",
-     verify::codes::timingQueueBound,
-     [](TileBundle &b) {
-         b.artifacts.timing.scheduling =
-             core::SchedulingMode::OutOfOrder;
-         b.artifacts.timing.sched.queueCapacity = 1;
-         // Deadline exactly at the unbounded-queue bound: only the
-         // capacity term can push the worst case past it.
-         const verify::ExpandedStream stream =
-             verify::expandRam(b.artifacts.ram);
-         const verify::DependencyOracle oracle(
-             *b.artifacts.lattice, stream.qubits,
-             stream.subCycles);
-         const verify::TimingBound bound =
-             verify::TimingOracle(b.artifacts.timing.sched)
-                 .bound(oracle, core::SchedulingMode::OutOfOrder);
-         ASSERT_GT(bound.totalBoundCycles,
-                   bound.widthBoundCycles);
-         b.artifacts.timing.deadlineCycles =
-             bound.widthBoundCycles;
-     }},
-
     {"64 tenants on one shared fetch slot",
      verify::codes::contentionOvercommit,
      [](TileBundle &b) {

@@ -527,17 +527,16 @@ roundDeadlineCycles(const core::MceConfig &cfg)
 
 /**
  * The --timing differential for one tile config: bound the round
- * program statically under `mode`, run the dynamic scheduler on the
- * same program (arbitrated over shared fetch when --tiles > 1) and
- * compare. Soundness (bound >= observed) must hold everywhere; the
- * 1.5x tightness gate applies uncontended, where the bound claims
- * to track the real pipeline rather than a worst-case grant phase.
+ * program statically, run the dynamic scheduler on the same program
+ * (arbitrated over shared fetch when --tiles > 1) and compare.
+ * Soundness (bound >= observed) must hold everywhere; the 1.5x
+ * tightness gate applies uncontended, where the bound claims to
+ * track the real pipeline rather than a worst-case grant phase.
  */
 TimingRow
 runTimingDifferential(const core::MceConfig &cfg,
                       const verify::TileBundle &bundle,
-                      core::SchedulingMode mode, std::size_t tiles,
-                      std::size_t rounds)
+                      std::size_t tiles, std::size_t rounds)
 {
     const verify::ExpandedStream stream =
         verify::expandRam(bundle.artifacts.ram);
@@ -549,28 +548,25 @@ runTimingDifferential(const core::MceConfig &cfg,
     TimingRow row;
     row.protocol = qecc::protocolName(cfg.protocol);
     row.design = core::microcodeDesignName(cfg.microcodeDesign);
-    row.mode = core::schedulingModeName(mode);
+    row.mode = "in-order";
     row.tiles = tiles;
     row.rounds = rounds;
     row.deadlineCycles = roundDeadlineCycles(cfg) * rounds;
 
-    const verify::FetchGrant grant = verify::worstCaseGrant(
-        tiles, scfg.fetchWidth, bandwidth,
-        core::ArbiterPolicy::RoundRobin);
-    row.bound = verify::TimingOracle(scfg).bound(
-        dep, mode, rounds, grant);
+    const verify::FetchGrant grant =
+        verify::worstCaseGrant(tiles, scfg.fetchWidth, bandwidth);
+    row.bound = verify::TimingOracle(scfg).bound(dep, rounds, grant);
 
     const core::DynamicScheduler sched(scfg);
     if (tiles <= 1) {
         row.observedCycles =
-            sched.schedule(dep, mode, rounds).cycles.size();
+            sched.schedule(dep, rounds).cycles.size();
     } else {
         const std::vector<const verify::DependencyOracle *> fleet(
             tiles, &dep);
         const std::vector<std::uint8_t> active(tiles, 1);
-        const core::ArbitrationResult r = sched.arbitrate(
-            fleet, active, mode, bandwidth,
-            core::ArbiterPolicy::RoundRobin, rounds);
+        const core::ArbitrationResult r =
+            sched.arbitrate(fleet, active, bandwidth, rounds);
         for (const core::TileSchedule &t : r.tiles)
             row.observedCycles =
                 std::max(row.observedCycles, t.cycles.size());
@@ -602,7 +598,9 @@ timingJson(const std::vector<TimingRow> &rows)
                      .set("rounds", r.rounds)
                      .set("critical_path_cycles",
                           r.bound.criticalPathCycles)
-                     .set("width_bound_cycles", r.bound.widthBoundCycles)
+                     // The barrier pipeline has no issue queue, so
+                     // the width bound is the whole bound.
+                     .set("width_bound_cycles", r.bound.totalBoundCycles)
                      .set("bound_cycles", r.bound.totalBoundCycles)
                      .set("observed_cycles", r.observedCycles)
                      .set("ratio", r.ratio)
@@ -678,12 +676,8 @@ cmdVerify(const Options &opts)
             combined.merge(
                 verify::Verifier().run(bundle.artifacts));
             if (timing)
-                for (const core::SchedulingMode mode :
-                     {core::SchedulingMode::InOrder,
-                      core::SchedulingMode::OutOfOrder})
-                    timingRows.push_back(runTimingDifferential(
-                        cfg, bundle, mode, timingTiles,
-                        timingRounds));
+                timingRows.push_back(runTimingDifferential(
+                    cfg, bundle, timingTiles, timingRounds));
         }
     }
 
@@ -702,7 +696,7 @@ cmdVerify(const Options &opts)
                 r.protocol + "/" + r.design,
                 r.mode,
                 std::to_string(r.bound.criticalPathCycles),
-                std::to_string(r.bound.widthBoundCycles),
+                std::to_string(r.bound.totalBoundCycles), // width
                 std::to_string(r.bound.totalBoundCycles),
                 std::to_string(r.observedCycles),
                 ratio,
