@@ -137,25 +137,14 @@ ClusterDecoder::decodeType(const std::vector<DetectionEvent> &events,
             std::max(stats.largestCluster, cluster.size());
 
     // Per-thread scratch: clusters are resolved thousands of times
-    // per sweep trial, so keep the event and path buffers warm.
+    // per sweep trial, so keep the event buffer warm.
     static thread_local std::vector<DetectionEvent> local;
-    static thread_local std::vector<std::size_t> path;
     for (const auto &cluster : clusters) {
         local.clear();
         local.reserve(cluster.size());
         for (std::size_t idx : cluster)
             local.push_back(events[idx]);
-        const MatchingResult mr = _matcher.matchEvents(local);
-        for (const Match &m : mr.matches) {
-            path.clear();
-            if (m.toBoundary)
-                _matcher.pathToBoundary(local[m.a].ancilla, path);
-            else
-                _matcher.pathBetween(local[m.a].ancilla,
-                                     local[m.b].ancilla, path);
-            for (std::size_t q : path)
-                bits[q] ^= 1;
-        }
+        _matcher.fold(local, bits);
     }
 }
 
@@ -185,14 +174,7 @@ ClusterDecoder::decode(const DetectionEvents &events,
     if (stats.largestCluster > 0)
         _mClusterSize.record(stats.largestCluster);
 
-    Correction out;
-    for (std::size_t q = 0; q < xflip.size(); ++q) {
-        if (xflip[q])
-            out.xFlips.push_back(q);
-        if (zflip[q])
-            out.zFlips.push_back(q);
-    }
-    return out;
+    return flipsToCorrection(xflip, zflip);
 }
 
 } // namespace quest::decode

@@ -149,7 +149,9 @@ MwpmDecoder::MwpmDecoder(const qecc::Lattice &lattice,
           "decode.mwpm.matched_weight",
           "total space-time weight of accepted matchings")),
       _mDecodes(sim::metrics::Registry::global().counter(
-          "decode.mwpm.decodes", "calls to MwpmDecoder::decode"))
+          "decode.mwpm.decodes",
+          "global decodes: one per offline shot and one per "
+          "streaming window not degraded to the cluster decoder"))
 {
     QUEST_ASSERT(exact_limit <= maxExactLimit,
                  "exact_limit %zu exceeds the bitmask DP cap %zu",
@@ -239,14 +241,6 @@ MwpmDecoder::pathBetween(Coord a, Coord b,
     }
 }
 
-std::vector<std::size_t>
-MwpmDecoder::pathBetween(Coord a, Coord b) const
-{
-    std::vector<std::size_t> path;
-    pathBetween(a, b, path);
-    return path;
-}
-
 void
 MwpmDecoder::pathToBoundary(Coord a,
                             std::vector<std::size_t> &out) const
@@ -291,14 +285,6 @@ MwpmDecoder::pathToBoundary(Coord a,
             c += 2 * step;
         }
     }
-}
-
-std::vector<std::size_t>
-MwpmDecoder::pathToBoundary(Coord a) const
-{
-    std::vector<std::size_t> path;
-    pathToBoundary(a, path);
-    return path;
 }
 
 MatchingResult
@@ -413,45 +399,65 @@ MwpmDecoder::matchEvents(const std::vector<DetectionEvent> &events) const
     return mr;
 }
 
-Correction
-MwpmDecoder::decode(const DetectionEvents &events) const
+void
+MwpmDecoder::fold(const std::vector<DetectionEvent> &events,
+                  std::vector<std::uint8_t> &bits, std::size_t frontier,
+                  std::vector<DetectionEvent> *consumed) const
 {
-    QUEST_TRACE_SCOPE("decode", "mwpm_decode");
-    ++_mDecodes;
+    if (events.empty())
+        return;
+    std::vector<std::size_t> &path = scratch().path;
+    for (const Match &m : matchEvents(events).matches) {
+        const DetectionEvent &ea = events[m.a];
+        path.clear();
+        if (m.toBoundary) {
+            if (ea.round >= frontier)
+                continue;
+            pathToBoundary(ea.ancilla, path);
+        } else {
+            const DetectionEvent &eb = events[m.b];
+            if (std::min(ea.round, eb.round) >= frontier)
+                continue;
+            pathBetween(ea.ancilla, eb.ancilla, path);
+            if (ea.round >= frontier)
+                consumed->push_back(ea);
+            if (eb.round >= frontier)
+                consumed->push_back(eb);
+        }
+        for (std::size_t q : path)
+            bits[q] ^= 1;
+    }
+}
+
+Correction
+flipsToCorrection(const std::vector<std::uint8_t> &xflip,
+                  const std::vector<std::uint8_t> &zflip)
+{
     Correction out;
-    Scratch &s = scratch();
-
-    // Flip parity per data qubit, then collect odd-parity qubits.
-    s.xflip.assign(_lattice->numQubits(), 0);
-    s.zflip.assign(_lattice->numQubits(), 0);
-
-    const auto apply_matches =
-        [&](const std::vector<DetectionEvent> &evts,
-            std::vector<std::uint8_t> &bits) {
-            const MatchingResult mr = matchEvents(evts);
-            for (const Match &m : mr.matches) {
-                s.path.clear();
-                if (m.toBoundary)
-                    pathToBoundary(evts[m.a].ancilla, s.path);
-                else
-                    pathBetween(evts[m.a].ancilla, evts[m.b].ancilla,
-                                s.path);
-                for (std::size_t q : s.path)
-                    bits[q] ^= 1;
-            }
-        };
-
-    // Z-check events locate X errors; X-check events locate Z errors.
-    apply_matches(events.zEvents, s.xflip);
-    apply_matches(events.xEvents, s.zflip);
-
-    for (std::size_t q = 0; q < s.xflip.size(); ++q) {
-        if (s.xflip[q])
+    for (std::size_t q = 0; q < xflip.size(); ++q) {
+        if (xflip[q])
             out.xFlips.push_back(q);
-        if (s.zflip[q])
+        if (zflip[q])
             out.zFlips.push_back(q);
     }
     return out;
+}
+
+Correction
+MwpmDecoder::decode(const DetectionEvents &events, std::size_t frontier,
+                    std::vector<DetectionEvent> *consumed) const
+{
+    QUEST_TRACE_SCOPE("decode", "mwpm_decode");
+    ++_mDecodes;
+    if (events.total() == 0)
+        return {};
+    Scratch &s = scratch();
+    s.xflip.assign(_lattice->numQubits(), 0);
+    s.zflip.assign(_lattice->numQubits(), 0);
+    // Z-check events locate X errors; X-check events locate Z errors.
+    fold(events.zEvents, s.xflip, frontier, consumed);
+    fold(events.xEvents, s.zflip, frontier, consumed);
+    return flipsToCorrection(s.xflip, s.zflip);
 }
 
 } // namespace quest::decode

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -49,9 +50,16 @@ struct MatchingResult
 };
 
 /**
+ * The correction of two per-qubit parity maps: the qubits whose X
+ * (`xflip`) or Z (`zflip`) parity is odd, in ascending order.
+ */
+Correction flipsToCorrection(const std::vector<std::uint8_t> &xflip,
+                             const std::vector<std::uint8_t> &zflip);
+
+/**
  * The global decoder living in the master controller.
  *
- * Thread safety: decode()/matchEvents() and the distance/path
+ * Thread safety: decode()/fold()/matchEvents() and the distance/path
  * queries are const and keep their mutable working state in
  * thread-local scratch arenas, so one decoder instance may decode
  * from many threads concurrently (the parallel Monte-Carlo sweeps
@@ -115,11 +123,34 @@ class MwpmDecoder
     std::uint64_t spaceWeight() const { return _spaceWeight; }
     std::uint64_t timeWeight() const { return _timeWeight; }
 
+    /** Commit frontier of a decode that commits every match. */
+    static constexpr std::size_t noFrontier =
+        std::numeric_limits<std::size_t>::max();
+
     /**
-     * Decode all detection events into a correction.
-     * Z-check events yield X corrections and vice versa.
+     * Decode detection events into a correction: Z-check events
+     * yield X corrections and vice versa. With a commit `frontier`,
+     * only the matches fold() commits contribute (see there).
+     * Counts one decode.mwpm.decodes.
      */
-    Correction decode(const DetectionEvents &events) const;
+    Correction decode(const DetectionEvents &events,
+                      std::size_t frontier = noFrontier,
+                      std::vector<DetectionEvent> *consumed = nullptr)
+        const;
+
+    /**
+     * Match one stabilizer type's events and fold the data-qubit
+     * paths of the committed matches into `bits` (one parity byte
+     * per data qubit). A match commits when its earlier endpoint
+     * lies before `frontier`; the rest are deferred. The endpoints
+     * of committed matches at or past the frontier are appended to
+     * `*consumed` (the consumed-ahead events), so every event past
+     * the frontier is either deferred or consumed.
+     */
+    void fold(const std::vector<DetectionEvent> &events,
+              std::vector<std::uint8_t> &bits,
+              std::size_t frontier = noFrontier,
+              std::vector<DetectionEvent> *consumed = nullptr) const;
 
     /** Match one same-type event set (exposed for tests/benches). */
     MatchingResult matchEvents(
@@ -140,18 +171,13 @@ class MwpmDecoder
     std::uint64_t boundaryDistance(const DetectionEvent &e) const;
 
     /**
-     * Data-qubit path between two same-type checks (L-shaped:
-     * rows first, then columns).
+     * Append the data-qubit path between two same-type checks
+     * (L-shaped: rows first, then columns) onto `out`.
      */
-    std::vector<std::size_t> pathBetween(qecc::Coord a,
-                                         qecc::Coord b) const;
-
-    /** Data-qubit path from a check to its nearest boundary. */
-    std::vector<std::size_t> pathToBoundary(qecc::Coord a) const;
-
-    /** Allocation-free variants: append the path onto `out`. */
     void pathBetween(qecc::Coord a, qecc::Coord b,
                      std::vector<std::size_t> &out) const;
+
+    /** Append the path from a check to its nearest boundary. */
     void pathToBoundary(qecc::Coord a,
                         std::vector<std::size_t> &out) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/fault_injector.hpp"
 #include "sim/logging.hpp"
 #include "sim/trace.hpp"
 
@@ -10,12 +9,9 @@ namespace quest::decode {
 
 StreamingDecoder::StreamingDecoder(
     const qecc::SyndromeExtractor &extractor, const StreamConfig &cfg)
-    : _lattice(&extractor.lattice()),
-      _xAncillas(extractor.xAncillas()),
+    : _xAncillas(extractor.xAncillas()),
       _zAncillas(extractor.zAncillas()), _cfg(cfg),
-      _deadline(cfg.deadline),
-      _lut(extractor.lattice()), _mwpm(extractor.lattice()),
-      _cluster(extractor.lattice()),
+      _pipeline(extractor.lattice(), cfg.deadline),
       _mWindows(sim::metrics::Registry::global().counter(
           "decode.stream.windows", "sliding decode windows decoded")),
       _mRounds(sim::metrics::Registry::global().counter(
@@ -52,13 +48,6 @@ StreamingDecoder::StreamingDecoder(
                      && _cfg.strideRounds <= _cfg.windowRounds,
                  "stream stride %zu must be in (0, window %zu]",
                  _cfg.strideRounds, _cfg.windowRounds);
-}
-
-void
-StreamingDecoder::setMaskPredicate(MwpmDecoder::MaskPredicate masked)
-{
-    _mwpm.setMaskPredicate(masked);
-    _cluster.setMaskPredicate(std::move(masked));
 }
 
 std::optional<StreamCommit>
@@ -120,129 +109,11 @@ StreamingDecoder::decodeWindow(bool flush)
     filterConsumed(ev.xEvents);
     filterConsumed(ev.zEvents);
 
-    StreamCommit commit;
+    StreamCommit commit = _pipeline.decodeWindow(
+        ev, commit_end, _chargedThrough, _consumed);
     commit.windowFirstRound = _firstRound;
     commit.commitEndRound = commit_end;
-    commit.windowEvents = ev.total();
-
-    // Extraction order is round-major, so each type list splits into
-    // a commit-region prefix and a carry-region suffix.
-    const auto split = [&](std::vector<DetectionEvent> &v,
-                           std::vector<DetectionEvent> &carry_out) {
-        const auto it =
-            std::find_if(v.begin(), v.end(),
-                         [&](const DetectionEvent &e) {
-                             return e.round >= commit_end;
-                         });
-        carry_out.assign(it, v.end());
-        v.erase(it, v.end());
-    };
-    DetectionEvents carry;
-    split(ev.xEvents, carry.xEvents);
-    split(ev.zEvents, carry.zEvents);
-
-    // Local stage: the LUT sees the commit region only -- a carry
-    // event's partner may not even be extracted yet.
-    const LocalDecodeResult local = _lut.decodeLocal(ev);
-    const std::size_t residual_total =
-        local.residual.total() + carry.total();
-
-    // Bus accounting: an event is charged once, when the window that
-    // first extracts it forwards it past the LUT (carry events skip
-    // the LUT, so they are charged as soon as they are seen).
-    const auto newly_seen =
-        [&](const std::vector<DetectionEvent> &v) {
-            return std::size_t(std::count_if(
-                v.begin(), v.end(), [&](const DetectionEvent &e) {
-                    return e.round >= _chargedThrough;
-                }));
-        };
-    commit.forwardedEvents = newly_seen(local.residual.xEvents)
-        + newly_seen(local.residual.zEvents)
-        + newly_seen(carry.xEvents) + newly_seen(carry.zEvents);
     _chargedThrough = std::max(_chargedThrough, _firstRound + take);
-
-    // An injected overrun is drawn before the decode, once per
-    // window with residual events, and only when the deadline is
-    // modelled.
-    const bool injected = residual_total > 0 && _faults != nullptr
-        && _cfg.deadline.windowTicks != 0
-        && _faults->fire(sim::FaultSite::DecoderOverrun);
-    Correction global;
-    std::size_t deferred = 0;
-    if (residual_total > 0
-        && (injected || _deadline.overruns(residual_total))) {
-        // Deadline overrun: degrade to the near-linear cluster
-        // decoder over the commit region; the whole carry region is
-        // deferred (it reappears identically next window).
-        commit.fallback = true;
-        commit.stretch = _deadline.stretch(residual_total);
-        global = _cluster.decode(local.residual);
-        deferred = carry.total();
-    } else if (residual_total > 0) {
-        // Global stage, replicating MwpmDecoder::decode's flip-map
-        // construction exactly so that a flush over a whole shot is
-        // bit-identical to the offline pipeline. Matches whose
-        // earliest endpoint is in the commit region are committed
-        // now (carry-side endpoints become consumed-ahead); matches
-        // wholly in the carry region are deferred.
-        const std::size_t n = _lattice->numQubits();
-        std::vector<std::uint8_t> xflip(n, 0);
-        std::vector<std::uint8_t> zflip(n, 0);
-        std::vector<std::size_t> path;
-        const auto decode_type =
-            [&](const std::vector<DetectionEvent> &resid,
-                const std::vector<DetectionEvent> &car,
-                std::vector<std::uint8_t> &bits) {
-                std::vector<DetectionEvent> evts;
-                evts.reserve(resid.size() + car.size());
-                evts.insert(evts.end(), resid.begin(), resid.end());
-                evts.insert(evts.end(), car.begin(), car.end());
-                if (evts.empty())
-                    return;
-                const MatchingResult mr = _mwpm.matchEvents(evts);
-                for (const Match &m : mr.matches) {
-                    const DetectionEvent &ea = evts[m.a];
-                    path.clear();
-                    if (m.toBoundary) {
-                        if (ea.round >= commit_end) {
-                            ++deferred;
-                            continue;
-                        }
-                        _mwpm.pathToBoundary(ea.ancilla, path);
-                    } else {
-                        const DetectionEvent &eb = evts[m.b];
-                        if (std::min(ea.round, eb.round)
-                            >= commit_end) {
-                            deferred += 2;
-                            continue;
-                        }
-                        _mwpm.pathBetween(ea.ancilla, eb.ancilla,
-                                          path);
-                        if (ea.round >= commit_end)
-                            _consumed.push_back(ea);
-                        if (eb.round >= commit_end)
-                            _consumed.push_back(eb);
-                    }
-                    for (std::size_t q : path)
-                        bits[q] ^= 1;
-                }
-            };
-        // Z-check events locate X errors; X-check events locate Z
-        // errors -- same order as the offline decoders.
-        decode_type(local.residual.zEvents, carry.zEvents, xflip);
-        decode_type(local.residual.xEvents, carry.xEvents, zflip);
-        for (std::size_t q = 0; q < n; ++q) {
-            if (xflip[q])
-                global.xFlips.push_back(q);
-            if (zflip[q])
-                global.zFlips.push_back(q);
-        }
-    }
-    commit.deferredEvents = deferred;
-    commit.globalWeight = global.weight();
-    commit.correction = local.correction;
-    commit.correction.merge(global);
 
     // Slide: the last dropped round becomes the next baseline, so
     // deferred events re-difference into existence bit for bit.
@@ -263,9 +134,9 @@ StreamingDecoder::decodeWindow(bool flush)
     ++_mWindows;
     _mEvents += commit.windowEvents;
     _mWindowEvents.record(commit.windowEvents);
-    _mEventsLocal += local.resolvedEvents;
+    _mEventsLocal += commit.localEvents;
     _mForwarded += commit.forwardedEvents;
-    _mDeferred += deferred;
+    _mDeferred += commit.deferredEvents;
     _mCommittedWeight += commit.correction.weight();
     if (commit.fallback) {
         ++_fallbackCount;

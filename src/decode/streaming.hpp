@@ -31,13 +31,16 @@
  *    events also draws one injected DecoderOverrun, which forces the
  *    same fallback.
  *
- * Each window runs the same LUT -> MWPM two-level pipeline as the
- * offline path, so a single window spanning the entire shot (or a
- * finish() on an unsliced buffer) reproduces DecoderPipeline's
- * correction bit for bit -- the correctness anchor the equivalence
- * suite in tests/test_streaming.cpp pins down. The master controller
- * decodes every tile through one of these; windowRounds ==
- * strideRounds is its collect-then-decode cadence.
+ * This class only windows the stream. Each window is one
+ * DecoderPipeline::decodeWindow call, the same two-level step the
+ * offline DecoderPipeline::decode runs with no carry and no
+ * frontier; so a single window spanning the entire shot (or a
+ * finish() on an unsliced buffer) reproduces the offline correction
+ * bit for bit whenever the window extraction reproduces the offline
+ * events -- what the equivalence suite in tests/test_streaming.cpp
+ * pins down. The master controller decodes every tile through one
+ * of these; windowRounds == strideRounds is its collect-then-decode
+ * cadence.
  *
  * Lag accounting: after every pushed round the decoder records how
  * many extracted rounds are not yet committed in the
@@ -52,16 +55,9 @@
 #include <optional>
 #include <vector>
 
-#include "cluster_decoder.hpp"
-#include "lut_decoder.hpp"
-#include "mwpm_decoder.hpp"
 #include "pipeline.hpp"
 #include "qecc/extractor.hpp"
 #include "sim/metrics.hpp"
-
-namespace quest::sim {
-class FaultInjector;
-}
 
 namespace quest::decode {
 
@@ -77,36 +73,6 @@ struct StreamConfig
     /** Real-time decode budget; windowTicks == 0 disables the
      *  ClusterDecoder fallback. */
     DeadlineConfig deadline;
-};
-
-/** What one window decode committed. */
-struct StreamCommit
-{
-    /** Committed corrections (canonical: sorted, duplicate-free). */
-    Correction correction;
-    /** First round of the decoded window. */
-    std::size_t windowFirstRound = 0;
-    /** Commit frontier after this window: rounds below this are
-     *  fully decoded. */
-    std::size_t commitEndRound = 0;
-    /** Detection events in the window (after consumed-ahead
-     *  filtering). */
-    std::size_t windowEvents = 0;
-    /** Newly-seen post-LUT events forwarded to the global stage --
-     *  what the master charges against the syndrome bus. */
-    std::size_t forwardedEvents = 0;
-    /** Weight of the global stage's share of `correction` -- what
-     *  the master sends back over the bus. The LUT share never
-     *  leaves the MCE. */
-    std::size_t globalWeight = 0;
-    /** Carry-region events deferred to the next window. */
-    std::size_t deferredEvents = 0;
-    /** True when the deadline degraded this window to the
-     *  ClusterDecoder. */
-    bool fallback = false;
-    /** Lateness factor (>= 1) for the noise-stretch model; only
-     *  meaningful when `fallback`. */
-    double stretch = 1.0;
 };
 
 /**
@@ -127,14 +93,18 @@ class StreamingDecoder
     const StreamConfig &config() const { return _cfg; }
 
     /** Forward a mask predicate to both global decoders. */
-    void setMaskPredicate(MwpmDecoder::MaskPredicate masked);
+    void
+    setMaskPredicate(MwpmDecoder::MaskPredicate masked)
+    {
+        _pipeline.setMaskPredicate(std::move(masked));
+    }
 
-    /**
-     * Attach the classical fault source: while the deadline is
-     * modelled, each window with residual events draws one
-     * DecoderOverrun trial before it decodes.
-     */
-    void attachFaults(sim::FaultInjector *faults) { _faults = faults; }
+    /** Attach the classical fault source to the decode step. */
+    void
+    attachFaults(sim::FaultInjector *faults)
+    {
+        _pipeline.attachFaults(faults);
+    }
 
     /**
      * Feed one extracted round. When the buffer reaches a full
@@ -168,17 +138,12 @@ class StreamingDecoder
     std::size_t fallbacks() const { return _fallbackCount; }
 
   private:
-    const qecc::Lattice *_lattice;
     /** Ancilla order of the syndrome rounds (extractor order). */
     std::vector<qecc::Coord> _xAncillas;
     std::vector<qecc::Coord> _zAncillas;
     StreamConfig _cfg;
-    DecodeDeadline _deadline;
-    sim::FaultInjector *_faults = nullptr;
-
-    LutDecoder _lut;
-    MwpmDecoder _mwpm;
-    ClusterDecoder _cluster;
+    /** The two-level decode step every window runs. */
+    DecoderPipeline _pipeline;
 
     /** Buffered rounds awaiting a full window; front() is round
      *  `_firstRound` of the stream. */

@@ -4,7 +4,7 @@
  * latency histograms with deterministic snapshots.
  *
  * The StatGroup package (stats.hpp) models *per-component* state:
- * each Mce or DecoderPipeline owns its stats and they die with it.
+ * each Mce or MasterController owns its stats and they die with it.
  * The metrics registry is the orthogonal, *process-wide* layer the
  * cycle-accounting hooks report through: a decode hot path bumps a
  * named counter from any thread (relaxed atomic add), and a bench

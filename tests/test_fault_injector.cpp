@@ -332,8 +332,6 @@ TEST(DecodeDeadline, QuadraticCostCrossesTheWindow)
 {
     decode::DeadlineConfig cfg;
     cfg.windowTicks = sim::nanoseconds(1000);
-    cfg.mwpmBaseTicks = sim::nanoseconds(50);
-    cfg.mwpmTicksPerEventSq = sim::nanoseconds(20);
     decode::DecodeDeadline dl(cfg);
 
     // 50 + 20 E^2 <= 1000  <=>  E <= 6.

@@ -284,6 +284,11 @@ fleetCsv(const SweepSpec &spec, const FleetConfig &cfg,
     threads.reserve(workerCfgs.size());
     for (WorkerConfig wc : workerCfgs) {
         wc.port = manager->port();
+        // The manager listens from its constructor on, so a refused
+        // connection means it is already gone: one attempt, not the
+        // default 10 s of retries a late-starting thread would spend
+        // before the join below returns.
+        wc.connectTimeoutMs = 0;
         threads.emplace_back([wc] { runWorker(wc); });
     }
     const sim::Table table = manager->runSweep(spec);

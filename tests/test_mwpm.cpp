@@ -109,7 +109,8 @@ TEST(Mwpm, BoundaryDistances)
 TEST(Mwpm, PathBetweenChecksIsLShaped)
 {
     Harness h(5);
-    const auto path = h.decoder.pathBetween(Coord{1, 0}, Coord{5, 4});
+    std::vector<std::size_t> path;
+    h.decoder.pathBetween(Coord{1, 0}, Coord{5, 4}, path);
     // Two row steps + two column steps = 4 data qubits.
     EXPECT_EQ(path.size(), 4u);
     for (std::size_t q : path)
@@ -121,8 +122,9 @@ TEST(Mwpm, PathToBoundaryLengthMatchesDistance)
     Harness h(5);
     for (const Coord c : h.lattice.sites(SiteType::ZAncilla)) {
         const DetectionEvent e{0, c, SiteType::ZAncilla};
-        EXPECT_EQ(h.decoder.pathToBoundary(c).size(),
-                  h.decoder.boundaryDistance(e));
+        std::vector<std::size_t> path;
+        h.decoder.pathToBoundary(c, path);
+        EXPECT_EQ(path.size(), h.decoder.boundaryDistance(e));
     }
 }
 

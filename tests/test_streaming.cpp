@@ -26,6 +26,7 @@
 #include "decode/streaming.hpp"
 #include "quantum/error_model.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/metrics.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -504,6 +505,53 @@ TEST_F(StreamingTest, DefiningLogicalQubitMidStreamKeepsDecoding)
     ASSERT_NO_THROW(streamer.finish());
     EXPECT_EQ(windows, 10u); // first at round 4, then every 2
     EXPECT_EQ(streamer.lagRounds(), 0u);
+}
+
+TEST_F(StreamingTest, MwpmDecodesCountOnePerShotAndPerWindow)
+{
+    // decode.mwpm.decodes counts the two-level decodes the global
+    // matcher ran: one per offline shot, one per streaming window
+    // (the master's tiles included), none for a window the deadline
+    // degrades to the cluster decoder.
+    auto &decodes = quest::sim::metrics::Registry::global().counter(
+        "decode.mwpm.decodes", "");
+    PauliFrame frame(lattice.numQubits());
+    const auto history = noisyHistory(extractor, frame, 2e-2, 3, 6);
+
+    DecoderPipeline pipeline(lattice);
+    std::uint64_t before = decodes.value();
+    pipeline.decode(extractDetectionEvents(history, extractor));
+    EXPECT_EQ(decodes.value() - before, 1u);
+
+    // 7 rounds, W=4/S=2: windows at rounds 4 and 6, then finish().
+    StreamingDecoder streamer(extractor, StreamConfig{ 4, 2, {} });
+    before = decodes.value();
+    streamDecode(streamer, history);
+    EXPECT_EQ(streamer.windowsDecoded(), 3u);
+    EXPECT_EQ(decodes.value() - before, 3u);
+
+    // A 1-tick budget degrades every window with residual events.
+    StreamConfig late{ 4, 2, {} };
+    late.deadline.windowTicks = 1;
+    StreamingDecoder degraded(extractor, late);
+    before = decodes.value();
+    streamDecode(degraded, history);
+    EXPECT_GT(degraded.fallbacks(), 0u);
+    EXPECT_EQ(decodes.value() - before,
+              degraded.windowsDecoded() - degraded.fallbacks());
+
+    // A W == S master: one decode per tile window.
+    quest::core::MasterConfig cfg;
+    cfg.numMces = 2;
+    cfg.mce = quest::core::tileConfigForLogicalQubits(3);
+    cfg.decodeWindowRounds = 3;
+    cfg.decodeStrideRounds = 3;
+    quest::core::MasterController master(cfg);
+    before = decodes.value();
+    master.runRounds(6);
+    EXPECT_EQ(master.streamer(0).windowsDecoded(), 2u);
+    EXPECT_EQ(master.streamer(1).windowsDecoded(), 2u);
+    EXPECT_EQ(decodes.value() - before, 4u);
 }
 
 } // namespace
