@@ -29,6 +29,11 @@
  * the decoder — the sub-single-thread numbers once reported at
  * d=9 were exactly that.
  *
+ * A second table isolates the global layer: exact-matcher latency
+ * by event count (n = 6, 10, 14 events of one type), over per-type
+ * LUT residuals sampled at d=13, p=1e-2 (the matching-heavy point).
+ * Full runs only; --smoke skips it.
+ *
  * Flags: --smoke (CI-sized run), --threads=N (multi-thread degree,
  * default ThreadPool::defaultThreads()), --trials=N, --out=PATH,
  * --min-window-ms=N (timed-window floor, default 50),
@@ -48,6 +53,7 @@
 
 #include "bench_util.hpp"
 #include "decode/cluster_decoder.hpp"
+#include "decode/lut_decoder.hpp"
 #include "decode/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
@@ -186,6 +192,63 @@ calibrateReps(double probe_wall_s, double min_window_s)
     if (want <= 1.0)
         return 1;
     return std::uint64_t(std::min(4096.0, want + 1.0));
+}
+
+/** Exact-matcher latency over residual sets of one size. */
+struct ExactRow
+{
+    std::size_t events = 0; ///< events of one type per set
+    std::size_t sets = 0;   ///< sampled sets of that size
+    double p50Ns = 0.0;
+    double p99Ns = 0.0;
+};
+
+/**
+ * Time MwpmDecoder::matchEvents on the per-type LUT residuals of
+ * `trials` d=13, p=1e-2 memory trials, grouped by event count:
+ * up to 256 sets per count, one untimed warm-up call each, then
+ * `reps` timed calls each.
+ */
+std::vector<ExactRow>
+exactLatencyByEvents(sim::ThreadPool &pool, std::uint64_t trials,
+                     std::uint64_t reps)
+{
+    const decode::MemoryExperiment exp(qecc::Protocol::Steane, 13);
+    const decode::LutDecoder lut(exp.lattice());
+    const decode::MwpmDecoder exact(exp.lattice(), 14);
+    const std::vector<decode::DetectionEvents> events =
+        sampleAll(exp, 1e-2, trials, pool);
+
+    std::vector<ExactRow> rows;
+    for (const std::size_t n : {6u, 10u, 14u}) {
+        std::vector<std::vector<decode::DetectionEvent>> sets;
+        for (const decode::DetectionEvents &e : events) {
+            const decode::LocalDecodeResult local = lut.decodeLocal(e);
+            for (const auto *v : {&local.residual.xEvents,
+                                  &local.residual.zEvents})
+                if (v->size() == n && sets.size() < 256)
+                    sets.push_back(*v);
+        }
+        std::vector<double> latency;
+        for (const auto &set : sets)
+            (void)exact.matchEvents(set);
+        for (std::uint64_t rep = 0; rep < reps; ++rep) {
+            for (const auto &set : sets) {
+                const auto t0 = Clock::now();
+                (void)exact.matchEvents(set);
+                const auto t1 = Clock::now();
+                latency.push_back(double(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        t1 - t0)
+                        .count()));
+            }
+        }
+        std::sort(latency.begin(), latency.end());
+        rows.push_back(ExactRow{n, sets.size(),
+                                percentile(latency, 0.50),
+                                percentile(latency, 0.99)});
+    }
+    return rows;
 }
 
 struct ConfigResult
@@ -327,6 +390,25 @@ main(int argc, char **argv)
                   "warmed, rep-expanded work");
     table.print(std::cout);
 
+    std::vector<ExactRow> exact_rows;
+    if (!smoke) {
+        exact_rows = exactLatencyByEvents(serial, 4096, 16);
+        sim::Table exact_table(
+            "Exact matcher latency by event count (d=13 p=1e-2 LUT "
+            "residuals, one stabilizer type)");
+        exact_table.header({ "events", "sets", "p50 us", "p99 us" });
+        for (const ExactRow &r : exact_rows) {
+            char b1[32], b2[32];
+            std::snprintf(b1, sizeof(b1), "%.2f", r.p50Ns / 1e3);
+            std::snprintf(b2, sizeof(b2), "%.2f", r.p99Ns / 1e3);
+            exact_table.row({ std::to_string(r.events),
+                              std::to_string(r.sets), b1, b2 });
+        }
+        exact_table.caption("one MwpmDecoder::matchEvents call per "
+                            "set, single thread, 16 timed passes");
+        exact_table.print(std::cout);
+    }
+
     sim::Json configs = sim::Json::array();
     for (const ConfigResult &r : results)
         configs.push(sim::Json::object()
@@ -337,13 +419,21 @@ main(int argc, char **argv)
                          .set("scaling", r.scaling)
                          .set("reps", r.single.reps)
                          .set("deterministic", r.deterministic));
-    bench::writeBenchJson(out_path,
-                          sim::Json::object()
-                              .set("bench", "decoder_throughput")
-                              .set("smoke", smoke)
-                              .set("trials", trials)
-                              .set("error_rate", p)
-                              .set("configs", std::move(configs)));
+    sim::Json exact_json = sim::Json::array();
+    for (const ExactRow &r : exact_rows)
+        exact_json.push(sim::Json::object()
+                            .set("events", r.events)
+                            .set("sets", r.sets)
+                            .set("p50_ns", r.p50Ns)
+                            .set("p99_ns", r.p99Ns));
+    bench::writeBenchJson(
+        out_path, sim::Json::object()
+                      .set("bench", "decoder_throughput")
+                      .set("smoke", smoke)
+                      .set("trials", trials)
+                      .set("error_rate", p)
+                      .set("configs", std::move(configs))
+                      .set("exact_by_events", std::move(exact_json)));
 
     if (check_scaling > 0.0) {
         if (std::thread::hardware_concurrency() < 2

@@ -48,6 +48,16 @@ class LutDecoder
     /**
      * Resolve isolated single-error patterns; anything ambiguous is
      * passed through untouched in `residual`.
+     *
+     * Precondition: each type's events are in round-major,
+     * ancilla-index order (strictly increasing round, then lattice
+     * index), as extractDetectionEvents* produce them and as every
+     * subsequence of that keeps them (debug-asserted). The passes
+     * rely on it to scan only the events they can pair: the
+     * same-round pass and the time-like pass cost O(k^2) in the
+     * events k of one round or two consecutive rounds, and only
+     * boundary-adjacent events pay the O(n) isolation scan, so a
+     * shot of many rounds costs near-linear time in its events.
      */
     LocalDecodeResult decodeLocal(const DetectionEvents &events) const;
 

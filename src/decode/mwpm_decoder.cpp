@@ -62,9 +62,40 @@ scratch()
 }
 
 /**
+ * f[mask] of the bitmask DP below, memoised in f: event i (the lowest
+ * set bit) either matches the boundary or pairs with another set bit
+ * j. Unsolved entries hold W's maximum; solved ones are finite (the
+ * all-boundary matching bounds them). Memo hits are tested before the
+ * call, which halves the cost at n = 14.
+ */
+template <typename W>
+W
+solveMask(std::size_t mask, std::size_t n, W *f, const W *bweight,
+          const W *pweight)
+{
+    const auto get = [&](std::size_t m) {
+        return f[m] != std::numeric_limits<W>::max()
+            ? f[m] : solveMask(m, n, f, bweight, pweight);
+    };
+    const std::size_t i = std::size_t(std::countr_zero(mask));
+    const std::size_t without_i = mask & (mask - 1);
+    W best = W(get(without_i) + bweight[i]);
+    // All other set bits are > i, so iterate them directly.
+    for (std::size_t rem = without_i; rem; rem &= rem - 1) {
+        const std::size_t j = std::size_t(std::countr_zero(rem));
+        const std::size_t rest = without_i & ~(std::size_t(1) << j);
+        best = std::min(best, W(get(rest) + pweight[i * n + j]));
+    }
+    return f[mask] = best;
+}
+
+/**
  * Bitmask-DP exact matching over n events. f[mask] = min weight to
- * resolve exactly the events in mask; event i (the lowest set bit)
- * either matches the boundary or pairs with another set bit j.
+ * resolve exactly the events in mask. It is solved top-down from the
+ * full set, so only the subsets reachable by removing the lowest
+ * event and at most one partner per step are filled: F(n+2) of the
+ * 2^n (987 of 16384 at n = 14), the same ones the reconstruction
+ * reads, with the same values a full bottom-up fill gives them.
  * Weight type W is uint32 when the weight bound allows (the 2^n
  * table then fits twice as much of the cache) and uint64 otherwise.
  */
@@ -76,27 +107,8 @@ exactDp(std::size_t n, std::vector<W> &f, const W *bweight,
     constexpr W winf = std::numeric_limits<W>::max();
     f.assign(std::size_t(1) << n, winf);
     f[0] = 0;
-    for (std::size_t mask = 1; mask < f.size(); ++mask) {
-        const std::size_t i = std::size_t(std::countr_zero(mask));
-        const std::size_t without_i = mask & (mask - 1);
-        // Option 1: event i matches the boundary.
-        W best = f[without_i] != winf ? W(f[without_i] + bweight[i])
-                                      : winf;
-        // Option 2: event i pairs with some j in the mask. All
-        // other set bits are > i, so iterate them directly.
-        for (std::size_t rem = without_i; rem; rem &= rem - 1) {
-            const std::size_t j =
-                std::size_t(std::countr_zero(rem));
-            const std::size_t rest =
-                without_i & ~(std::size_t(1) << j);
-            if (f[rest] == winf)
-                continue;
-            const W cand = W(f[rest] + pweight[i * n + j]);
-            if (cand < best)
-                best = cand;
-        }
-        f[mask] = best;
-    }
+    if (n > 0)
+        solveMask(f.size() - 1, n, f.data(), bweight, pweight);
 
     // Reconstruct the optimal decisions.
     MatchingResult result;

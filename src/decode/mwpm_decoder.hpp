@@ -15,6 +15,11 @@
  * dynamic programming for up to `exactLimit` events (optimal), and a
  * greedy globally-shortest-edge-first matcher beyond that (the
  * standard scalable approximation). Both support boundary matches.
+ * The DP is solved top-down from the full event set and memoises
+ * only the subsets its recursion reaches (drop the lowest event and
+ * at most one partner): F(n+2) subsets at O(n) each, 987 of the
+ * 16384 at the default limit of 14, against 2^n for a bottom-up
+ * fill. The 2^n table is still allocated and cleared per call.
  */
 
 #ifndef QUEST_DECODE_MWPM_DECODER_HPP

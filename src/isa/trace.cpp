@@ -98,10 +98,15 @@ LogicalTrace::loadBinary(const std::string &path)
                    "header is not a whole number of 2-byte "
                    "instructions",
                    path.c_str(), body.size());
+    // trace-gen writes at least one instruction, so a header with no
+    // body is a cut file, not an empty program.
+    if (body.empty())
+        sim::fatal("'%s' is truncated: it holds the header and no "
+                   "instructions",
+                   path.c_str());
     std::vector<std::uint16_t> words(body.size()
                                      / sizeof(std::uint16_t));
-    if (!body.empty())
-        std::memcpy(words.data(), body.data(), body.size());
+    std::memcpy(words.data(), body.data(), body.size());
     return decodeAll(words);
 }
 

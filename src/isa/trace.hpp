@@ -70,7 +70,11 @@ class LogicalTrace
      */
     void saveBinary(const std::string &path) const;
 
-    /** Load a trace saved with saveBinary. */
+    /**
+     * Load a trace saved with saveBinary. Raises SimError when the
+     * file cannot be read, lacks the magic, or its body is empty or
+     * ends mid-instruction (a cut file).
+     */
     static LogicalTrace loadBinary(const std::string &path);
 
   private:

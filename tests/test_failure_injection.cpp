@@ -193,6 +193,38 @@ TEST(TraceFile, OddLengthBodyIsRejected)
     quest::sim::setQuiet(false);
 }
 
+TEST(TraceFile, HeaderOnlyFileIsRejected)
+{
+    // A file cut to its header is not an empty program: trace-gen
+    // never writes one.
+    isa::TraceGenConfig cfg;
+    cfg.numInstructions = 8;
+    cfg.logicalQubits = 2;
+    const std::string path = "/tmp/quest_header_only_trace.bin";
+    isa::generateApplicationTrace(cfg).saveBinary(path);
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char header[8];
+    ASSERT_EQ(std::fread(header, 1, sizeof(header), f), sizeof(header));
+    std::fclose(f);
+
+    quest::sim::setQuiet(true);
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(header, 1, sizeof(header), f);
+    std::fclose(f);
+    try {
+        (void)isa::LogicalTrace::loadBinary(path);
+        ADD_FAILURE() << "header-only trace loaded";
+    } catch (const quest::sim::SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("no instructions"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+    quest::sim::setQuiet(false);
+}
+
 // --- Classical control-plane faults --------------------------------
 
 core::MasterConfig

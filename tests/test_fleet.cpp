@@ -274,22 +274,34 @@ TEST(FleetMerger, MergeLagTracksTheUnfoldableBacklog)
 
 // --- Manager + workers over loopback --------------------------------
 
-/** Run a manager sweep with N in-process workers; return the CSV. */
+/**
+ * Run a manager sweep with in-process workers; return the CSV. Each
+ * worker runs on its own thread or, with `serial`, all of them run
+ * one after another on one thread (a worker returns once it is
+ * killed or the manager is gone).
+ */
 std::string
 fleetCsv(const SweepSpec &spec, const FleetConfig &cfg,
-         const std::vector<WorkerConfig> &workerCfgs)
+         std::vector<WorkerConfig> workerCfgs, bool serial = false)
 {
     auto manager = std::make_unique<Manager>(cfg);
-    std::vector<std::thread> threads;
-    threads.reserve(workerCfgs.size());
-    for (WorkerConfig wc : workerCfgs) {
+    for (WorkerConfig &wc : workerCfgs) {
         wc.port = manager->port();
         // The manager listens from its constructor on, so a refused
         // connection means it is already gone: one attempt, not the
         // default 10 s of retries a late-starting thread would spend
         // before the join below returns.
         wc.connectTimeoutMs = 0;
-        threads.emplace_back([wc] { runWorker(wc); });
+    }
+    std::vector<std::thread> threads;
+    if (serial) {
+        threads.emplace_back([workerCfgs] {
+            for (const WorkerConfig &wc : workerCfgs)
+                runWorker(wc);
+        });
+    } else {
+        for (const WorkerConfig &wc : workerCfgs)
+            threads.emplace_back([wc] { runWorker(wc); });
     }
     const sim::Table table = manager->runSweep(spec);
     // Close the manager's sockets before joining: a worker that only
@@ -337,8 +349,14 @@ TEST(FleetManager, SurvivesWorkerKillMidSweep)
     clean.name = "steady";
     clean.heartbeatMs = 50;
 
-    EXPECT_EQ(fleetCsv(testSpec(), testConfig(), {killer, clean}),
-              golden);
+    // The killer runs alone until it dies on its first lease; only
+    // then does the clean worker start, on the same thread, and take
+    // the rest. With the local fallback out of reach, neither the
+    // clean worker nor the manager can drain the queue before the
+    // killer gets a task, however the host schedules the threads.
+    FleetConfig cfg = testConfig();
+    cfg.localFallbackMs = 60000;
+    EXPECT_EQ(fleetCsv(testSpec(), cfg, {killer, clean}, true), golden);
     // The kill actually happened and cost a re-dispatch.
     EXPECT_GT(counterValue("fleet.redispatches"), redispatches0);
 }

@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the global MWPM decoder: exhaustive single/double error
- * correction on small codes, exact-vs-greedy consistency, and the
- * distance-respecting property sweep.
+ * correction on small codes, exact-vs-greedy consistency, the
+ * distance-respecting property sweep, and the top-down exact DP
+ * against a bottom-up reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <limits>
 #include <set>
+#include <string>
 #include <utility>
 
+#include "decode/lut_decoder.hpp"
+#include "decode/memory_experiment.hpp"
 #include "decode/mwpm_decoder.hpp"
 #include "qecc/distance.hpp"
 #include "sim/logging.hpp"
@@ -516,6 +522,180 @@ TEST(Mwpm, EmptyEventsYieldEmptyCorrection)
     Harness h(3);
     const Correction corr = h.decoder.decode(DetectionEvents{});
     EXPECT_EQ(corr.weight(), 0u);
+}
+
+// --- Differential: top-down exact DP against the bottom-up fill -----
+
+/**
+ * The exact matcher as a bottom-up bitmask DP that fills all 2^n
+ * subsets, with the matcher's reconstruction (boundary first, then
+ * partners in ascending order): the reference the memoised top-down
+ * solve must reproduce match for match.
+ */
+MatchingResult
+bottomUpExact(const MwpmDecoder &dec,
+              const std::vector<DetectionEvent> &events)
+{
+    constexpr std::uint64_t inf =
+        std::numeric_limits<std::uint64_t>::max();
+    const std::size_t n = events.size();
+    std::vector<std::uint64_t> bw(n), pw(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+        bw[i] = dec.boundaryDistance(events[i]);
+        for (std::size_t j = 0; j < n; ++j)
+            pw[i * n + j] = dec.distance(events[i], events[j]);
+    }
+    std::vector<std::uint64_t> f(std::size_t(1) << n, inf);
+    f[0] = 0;
+    for (std::size_t mask = 1; mask < f.size(); ++mask) {
+        const std::size_t i = std::size_t(std::countr_zero(mask));
+        const std::size_t without_i = mask & (mask - 1);
+        std::uint64_t best = f[without_i] + bw[i];
+        for (std::size_t rem = without_i; rem; rem &= rem - 1) {
+            const std::size_t j = std::size_t(std::countr_zero(rem));
+            best = std::min(best, f[without_i & ~(std::size_t(1) << j)]
+                                      + pw[i * n + j]);
+        }
+        f[mask] = best;
+    }
+
+    MatchingResult result;
+    result.totalWeight = f.back();
+    for (std::size_t mask = f.size() - 1; mask;) {
+        const std::size_t i = std::size_t(std::countr_zero(mask));
+        const std::size_t without_i = mask & (mask - 1);
+        if (f[mask] == f[without_i] + bw[i]) {
+            result.matches.push_back(Match{i, 0, true, bw[i]});
+            mask = without_i;
+            continue;
+        }
+        bool found = false;
+        for (std::size_t rem = without_i; rem && !found;
+             rem &= rem - 1) {
+            const std::size_t j = std::size_t(std::countr_zero(rem));
+            const std::size_t rest = without_i & ~(std::size_t(1) << j);
+            if (f[mask] == f[rest] + pw[i * n + j]) {
+                result.matches.push_back(
+                    Match{i, j, false, pw[i * n + j]});
+                mask = rest;
+                found = true;
+            }
+        }
+        EXPECT_TRUE(found);
+        if (!found)
+            break;
+    }
+    return result;
+}
+
+/** Same matches in the same order: endpoints, boundary flag, weight. */
+void
+expectSameMatching(const MatchingResult &got, const MatchingResult &ref,
+                   const std::string &where)
+{
+    EXPECT_EQ(got.totalWeight, ref.totalWeight) << where;
+    ASSERT_EQ(got.matches.size(), ref.matches.size()) << where;
+    for (std::size_t k = 0; k < ref.matches.size(); ++k) {
+        const Match &g = got.matches[k];
+        const Match &r = ref.matches[k];
+        EXPECT_TRUE(g.a == r.a && g.b == r.b
+                    && g.toBoundary == r.toBoundary
+                    && g.weight == r.weight)
+            << where << " match " << k << ": got (" << g.a << ", "
+            << g.b << ", " << g.toBoundary << ", " << g.weight
+            << ") want (" << r.a << ", " << r.b << ", "
+            << r.toBoundary << ", " << r.weight << ")";
+    }
+}
+
+/** n distinct events of one type over `rounds` rounds, round-major. */
+std::vector<DetectionEvent>
+randomRoundMajor(const Lattice &lattice, SiteType type, std::size_t n,
+                 std::size_t rounds, Rng &rng)
+{
+    const std::vector<Coord> sites = lattice.sites(type);
+    std::set<std::pair<std::size_t, std::size_t>> picked;
+    while (picked.size() < n)
+        picked.insert({rng.uniformInt(rounds),
+                       rng.uniformInt(sites.size())});
+    std::vector<DetectionEvent> out;
+    for (const auto &[round, k] : picked)
+        out.push_back(DetectionEvent{round, sites[k], type});
+    return out;
+}
+
+TEST(MwpmDifferential, TopDownDpMatchesBottomUpOnRandomSets)
+{
+    // Plain, defect-aware (three masked checks of each type) and
+    // anisotropic (space 2, time 3) decoders at every exact size.
+    for (const std::size_t d : {5u, 9u, 13u}) {
+        const Lattice lattice = Lattice::forDistance(d);
+        Rng rng(0xD1FF + d);
+        std::set<std::size_t> masked;
+        for (const SiteType t : {SiteType::XAncilla, SiteType::ZAncilla}) {
+            const auto sites = lattice.sites(t);
+            while (masked.size() < (t == SiteType::XAncilla ? 3u : 6u))
+                masked.insert(lattice.index(
+                    sites[rng.uniformInt(sites.size())]));
+        }
+        for (int config = 0; config < 3; ++config) {
+            MwpmDecoder dec(lattice);
+            if (config == 1)
+                dec.setMaskPredicate([masked](std::size_t q) {
+                    return masked.count(q) != 0;
+                });
+            if (config == 2)
+                dec.setEdgeWeights(2, 3);
+            for (std::size_t n = 1; n <= 14; ++n) {
+                for (int trial = 0; trial < 6; ++trial) {
+                    const SiteType type = trial % 2
+                        ? SiteType::XAncilla : SiteType::ZAncilla;
+                    const auto events =
+                        randomRoundMajor(lattice, type, n, d, rng);
+                    expectSameMatching(
+                        dec.matchEvents(events),
+                        bottomUpExact(dec, events),
+                        "d=" + std::to_string(d) + " config="
+                            + std::to_string(config) + " n="
+                            + std::to_string(n) + " trial="
+                            + std::to_string(trial));
+                }
+            }
+        }
+    }
+}
+
+TEST(MwpmDifferential, TopDownDpMatchesBottomUpOnSampledResiduals)
+{
+    // The matcher's real inputs: the LUT residuals of d=13, p=1e-2
+    // memory trials, every per-type set the exact path takes.
+    MemoryExperiment exp(Protocol::Steane, 13);
+    const LutDecoder lut(exp.lattice());
+    const MwpmDecoder dec(exp.lattice());
+    MemoryRun run;
+    run.errorRate = 1e-2;
+    run.seed = 13;
+    MemoryBatch batch;
+    std::size_t compared = 0;
+    for (std::uint64_t b = 0; b < 4; ++b) {
+        exp.sample(run, b * 64, batch);
+        for (std::size_t lane = 0; lane < batch.events.size(); ++lane) {
+            const LocalDecodeResult local =
+                lut.decodeLocal(batch.events[lane]);
+            for (const auto *events : {&local.residual.xEvents,
+                                       &local.residual.zEvents}) {
+                if (events->empty() || events->size() > 14)
+                    continue;
+                ++compared;
+                expectSameMatching(dec.matchEvents(*events),
+                                   bottomUpExact(dec, *events),
+                                   "batch " + std::to_string(b)
+                                       + " lane "
+                                       + std::to_string(lane));
+            }
+        }
+    }
+    EXPECT_GT(compared, 200u);
 }
 
 } // namespace

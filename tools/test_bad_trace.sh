@@ -13,9 +13,11 @@
 #   truncated  a 64-instruction trace cut to its first 41 bytes (the
 #              8-byte header, 16 whole instructions and half of the
 #              17th); stderr names the file and its 33-byte body
+#   empty      a trace cut to its 8-byte header; stderr names the file
+#              and says it holds no instructions
 set -u
 
-usage="usage: test_bad_trace.sh defaults|flip40|truncated /path/to/quest"
+usage="usage: test_bad_trace.sh defaults|flip40|truncated|empty /path/to/quest"
 mode="${1:?$usage}"
 quest="${2:?$usage}"
 work="$(mktemp -d)"
@@ -40,6 +42,12 @@ case "$mode" in
             --instructions 64 > /dev/null || exit 1
         head -c 41 "$work/full.qtrace" > "$t"
         want="$t*33-byte"
+        ;;
+    empty)
+        "$quest" trace-gen --out "$work/full.qtrace" --qubits 4 \
+            --instructions 64 > /dev/null || exit 1
+        head -c 8 "$work/full.qtrace" > "$t"
+        want="$t*no instructions"
         ;;
     *)
         echo "unknown mode '$mode'" >&2
